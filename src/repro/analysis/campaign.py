@@ -25,6 +25,7 @@ for custom studies::
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -80,8 +81,9 @@ class E50Campaign:
         Re-run attempts for a cell that raises a transient error (watchdog
         aborts are terminal and never retried).
     backoff:
-        Base delay of the exponential backoff between attempts [s]; attempt
-        ``k`` sleeps ``backoff * 2**k``.
+        Base delay of the exponential backoff between attempts [s]; the
+        ``k``-th failed attempt sleeps ``backoff * 2**(k-1)``
+        (:func:`repro.serve.lifecycle.retry_delay`).
     cell_wall_seconds / cell_max_evals:
         Per-cell watchdog limits (``None`` disables); exceeded limits
         record a :class:`CellFailure` and the sweep continues.
@@ -143,29 +145,26 @@ class E50Campaign:
 
     def _attempt_cell(self, case: str, backend: str,
                       sleep) -> CampaignResult | None:
-        """Run one cell with bounded retry; record a failure on defeat."""
-        for attempt in range(self.retries + 1):
+        """Run one cell under the serving layer's retry rule; record a
+        failure on defeat."""
+        from repro.serve.lifecycle import retry_delay
+
+        for attempts in itertools.count(1):
             try:
                 return self.run_cell(case, backend)
-            except WatchdogTimeout as exc:
-                # a watchdog abort is deterministic — retrying would burn
-                # the same budget again; record and move on
-                self.failures.append(CellFailure(
-                    case=case, backend=backend,
-                    error_type=type(exc).__name__, message=str(exc),
-                    attempts=attempt + 1, retryable=False,
-                    extra={"elapsed": exc.elapsed, "evals": exc.evals}))
-                return None
             except Exception as exc:
-                if attempt < self.retries:
-                    sleep(self.backoff * 2 ** attempt)
-                    continue
-                self.failures.append(CellFailure(
-                    case=case, backend=backend,
-                    error_type=type(exc).__name__, message=str(exc),
-                    attempts=attempt + 1, retryable=True))
-                return None
-        return None  # pragma: no cover - loop always returns
+                retryable = not isinstance(exc, WatchdogTimeout)
+                delay = retry_delay(attempts, self.retries, self.backoff,
+                                    retryable)
+                if delay is None:
+                    self.failures.append(CellFailure(
+                        case=case, backend=backend,
+                        error_type=type(exc).__name__, message=str(exc),
+                        attempts=attempts, retryable=retryable,
+                        extra=({} if retryable else
+                               {"elapsed": exc.elapsed, "evals": exc.evals})))
+                    return None
+                sleep(delay)
 
     def run(self, progress=None, checkpoint: str | Path | None = None,
             resume: bool = False, sleep=time.sleep) -> list[CampaignResult]:

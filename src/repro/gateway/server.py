@@ -46,12 +46,12 @@ from repro.gateway.protocol import (HttpRequest, ProtocolError,
                                     ndjson_line, read_request)
 from repro.gateway.scheduler import AdmissionError, SLOScheduler
 from repro.obs import get_metrics, get_tracer
+from repro.serve.manifest import (MANIFEST_VERSION, ShardedManifest,
+                                  atomic_write_json, rank)
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool)
 
 __all__ = ["Gateway", "GatewayConfig"]
-
-MANIFEST_VERSION = 1
 
 
 @dataclass
@@ -129,7 +129,6 @@ class Gateway:
         self._manifest_lock = threading.Lock()
         self._sharded = None
         if self.config.manifest and self.config.manifest_shards > 0:
-            from repro.serve.manifest import ShardedManifest
             self._sharded = ShardedManifest(
                 self.config.manifest, n_shards=self.config.manifest_shards)
         #: job_id -> record dict (see ``_record``); insertion-ordered
@@ -220,7 +219,7 @@ class Gateway:
                                 # O(record) append, not O(jobs) rewrite
                                 self._sharded.append(staged)
                             elif cfg.manifest:
-                                self._write_manifest_locked(staged)
+                                self._write_manifest(staged)
                             with self._lock:
                                 live = self.jobs.get(result.job_id)
                                 if live is not None:
@@ -251,16 +250,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # manifest
 
-    @staticmethod
-    def _ranking(records) -> list[dict]:
-        done = [r for r in records
-                if r["status"] == "ok" and r["best_score"] is not None]
-        done.sort(key=lambda r: r["best_score"])
-        return [{"rank": k + 1, "label": r["label"],
-                 "job_id": r["job_id"], "best_score": r["best_score"],
-                 "status": r["status"], "shard": r["shard"]}
-                for k, r in enumerate(done)]
-
     def _manifest_doc(self, override: dict | None = None) -> dict:
         """Snapshot of all job records; ``override`` swaps in a staged
         terminal record not yet published to ``self.jobs`` (the
@@ -269,7 +258,8 @@ class Gateway:
             jobs = {jid: dict(rec) for jid, rec in self.jobs.items()}
         if override is not None:
             jobs[override["job_id"]] = dict(override)
-        ranking = self._ranking(jobs.values())
+        ranking = rank({jid: rec["result"] for jid, rec in jobs.items()
+                        if rec["result"] is not None})
         return {"version": MANIFEST_VERSION,
                 "gateway": {"n_shards": self.config.n_shards,
                             "route": self.config.route,
@@ -280,20 +270,14 @@ class Gateway:
                 "scheduler": self.scheduler.snapshot()}
 
     def _write_manifest(self, override: dict | None = None) -> None:
-        """Durable atomic manifest write (fsync + unique tmp +
-        ``os.replace`` — see :func:`repro.serve.manifest
-        .atomic_write_json`).
+        """Durable atomic manifest write (see :func:`repro.serve.manifest
+        .atomic_write_json`); the caller holds the manifest lock.
 
-        Snapshot and write happen under the manifest lock: without it,
-        two shard threads snapshot concurrently and the slower *writer*
-        can publish the older snapshot, dropping the other shard's
-        just-completed job from the on-disk ranking.
+        Snapshot and write happen under that lock: without it, two shard
+        threads snapshot concurrently and the slower *writer* can publish
+        the older snapshot, dropping the other shard's just-completed job
+        from the on-disk ranking.
         """
-        with self._manifest_lock:
-            self._write_manifest_locked(override)
-
-    def _write_manifest_locked(self, override: dict | None = None) -> None:
-        from repro.serve.manifest import atomic_write_json
         atomic_write_json(Path(self.config.manifest),
                           self._manifest_doc(override))
 
@@ -494,7 +478,8 @@ class Gateway:
                 self._sharded.compact()
                 self._sharded.close()
         elif self.config.manifest:
-            self._write_manifest()
+            with self._manifest_lock:
+                self._write_manifest()
         get_tracer().flush()
 
     def run(self) -> int:

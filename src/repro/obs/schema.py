@@ -30,27 +30,44 @@ from pathlib import Path
 from typing import Iterable
 
 __all__ = ["SCHEMA_VERSION", "EVENT_TYPES", "WELL_KNOWN_EVENTS",
+           "WELL_KNOWN_SPANS",
            "validate_event", "validate_log", "read_log", "SchemaError"]
 
 SCHEMA_VERSION = 1
 
 EVENT_TYPES = ("span", "event")
 
-#: Documented point-event names, grouped by emitting layer.  The schema
-#: is deliberately open (``name`` is free-form so layers can grow), but
+#: Point-event names, grouped by emitting layer.  The schema is
+#: deliberately open (``name`` is free-form so layers can grow), but
 #: consumers — the ``stats`` renderer, dashboards, the CI trace checker's
-#: ``--expect`` flags — key off these names, so additions belong here.
+#: ``--expect`` flags — key off these names, so every name passed to
+#: ``tracer.event`` is registered here (a test scans ``src/`` for it).
 WELL_KNOWN_EVENTS = {
     "worker": ("worker.start", "worker.stop", "worker.heartbeat",
                "worker.respawn"),
     "job": ("job.dispatch", "job.complete", "job.failed", "job.retry",
             "job.dead", "job.corrupt_result"),
     "queue": ("queue.stats", "pool.depth"),
-    "cohort": ("cohort.split", "cohort.quarantine_redispatch"),
+    "cohort": ("cohort.split", "cohort.quarantine_redispatch",
+               "cohort.quarantine", "cohort.nonfinite",
+               "cohort.lane_faults", "cohort.grid_inject"),
     # serving gateway (repro.gateway): request lifecycle + scheduler
     "gateway": ("gateway.request", "gateway.admit", "gateway.reject",
-                "gateway.stream", "gateway.dispatch", "gateway.done",
-                "gateway.autoscale", "gateway.shard.depth"),
+                "gateway.unpredictable_admit", "gateway.stream",
+                "gateway.dispatch", "gateway.done", "gateway.shard_error",
+                "gateway.autoscale"),
+}
+
+#: Span names (``tracer.span``), grouped by emitting layer; the same
+#: scan keeps this registry and ``src/`` in step.
+WELL_KNOWN_SPANS = {
+    "serve": ("screen.run", "screen.build_queue", "job.execute",
+              "job.execute_cohort", "parse.ligand", "parse.maps",
+              "pack.read", "grid.build", "case.build"),
+    "engine": ("engine.dock", "engine.dock_cohort", "engine.search",
+               "engine.finalize"),
+    "search": ("lga.run", "lga.cohort", "lga.ga_generation",
+               "adadelta.minimize"),
 }
 
 _COMMON_FIELDS = {"v": int, "type": str, "name": str,

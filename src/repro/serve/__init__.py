@@ -11,8 +11,9 @@ throughput argument is about (screening large ligand libraries):
   :class:`ContentCache` so a screen parses its receptor grids once, not
   once per ligand;
 * :mod:`repro.serve.pool` — spawn-safe multiprocessing
-  :class:`WorkerPool` with crash recovery, watchdog timeouts and
-  retry-with-backoff;
+  :class:`WorkerPool` with crash recovery and watchdog timeouts; both
+  its executors drive :mod:`repro.serve.lifecycle`, the sans-IO job
+  lifecycle (validation, retry-with-backoff, dead letters);
 * :mod:`repro.serve.screen` — the high-level :class:`VirtualScreen` API:
   streamed :class:`JobResult` records, an atomic resumable manifest and
   a ranked hit list (also the ``screen`` CLI subcommand).

@@ -38,7 +38,11 @@ from pathlib import Path
 from repro.serve.queue import shard_for
 
 __all__ = ["ShardedManifest", "atomic_write_json", "load_manifest_jobs",
-           "SHARD_AUTO_THRESHOLD", "DEFAULT_MANIFEST_SHARDS"]
+           "rank", "MANIFEST_VERSION", "SHARD_AUTO_THRESHOLD",
+           "DEFAULT_MANIFEST_SHARDS"]
+
+#: version of the single-file manifest document (screen and gateway)
+MANIFEST_VERSION = 1
 
 SHARDED_MANIFEST_VERSION = 1
 
@@ -47,6 +51,14 @@ SHARD_AUTO_THRESHOLD = 10_000
 
 #: shard count used when the auto threshold trips
 DEFAULT_MANIFEST_SHARDS = 8
+
+#: appends per shard between automatic last-wins compactions
+COMPACT_EVERY = 4096
+
+#: appends per shard between fsyncs (each append is flushed to the OS
+#: at once; a crash loses at most what the kernel had not yet written,
+#: and never more than the final, torn line)
+FSYNC_EVERY = 64
 
 _META_NAME = "meta.json"
 
@@ -85,20 +97,11 @@ class ShardedManifest:
         Shard count for a *new* manifest; an existing directory's
         ``meta.json`` wins (the partition must stay stable across
         resumes).
-    compact_every:
-        Appends per shard between automatic last-wins compactions.
-    fsync_every:
-        Appends per shard between fsyncs (each append is flushed to the
-        OS immediately; a crash loses at most what the kernel had not
-        yet written, and never more than the final, torn line).
     """
 
-    def __init__(self, path: str | Path, n_shards: int | None = None,
-                 compact_every: int = 4096, fsync_every: int = 64) -> None:
+    def __init__(self, path: str | Path, n_shards: int | None = None) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.compact_every = int(compact_every)
-        self.fsync_every = int(fsync_every)
         meta = self._read_meta()
         if meta is not None:
             self.n_shards = int(meta["n_shards"])
@@ -159,9 +162,9 @@ class ShardedManifest:
         fh.flush()
         n = self._appends.get(shard, 0) + 1
         self._appends[shard] = n
-        if n % self.fsync_every == 0:
+        if n % FSYNC_EVERY == 0:
             os.fsync(fh.fileno())
-        if n % self.compact_every == 0:
+        if n % COMPACT_EVERY == 0:
             self.compact(shard)
         return shard
 
@@ -248,8 +251,28 @@ def load_manifest_jobs(path: str | Path) -> dict[str, dict]:
         with ShardedManifest(path) as sm:
             return sm.load()
     payload = json.loads(path.read_text())
-    from repro.serve.screen import MANIFEST_VERSION
     if payload.get("version") != MANIFEST_VERSION:
         raise ValueError(
             f"unsupported manifest version {payload.get('version')!r}")
     return payload.get("jobs", {})
+
+
+def rank(jobs: dict[str, dict]) -> list[dict]:
+    """The ranked hit list of a ``job_id -> JobResult record`` mapping.
+
+    Jobs with status ``ok``/``cached`` and a result rank by best score
+    (the min over runs), best first; ties keep insertion order.
+    """
+    scored = []
+    for rec in jobs.values():
+        result = rec.get("result")
+        if rec.get("status") in ("ok", "cached") and result \
+                and result.get("runs"):
+            scored.append((min(r["best_score"] for r in result["runs"]),
+                           rec))
+    scored.sort(key=lambda pair: pair[0])
+    return [{"rank": k + 1, "label": rec.get("label", ""),
+             "job_id": rec["job_id"], "best_score": score,
+             "total_evals": rec["result"]["total_evals"],
+             "status": rec["status"]}
+            for k, (score, rec) in enumerate(scored)]

@@ -6,42 +6,37 @@ work from a shared task queue, each owning a private
 :class:`~repro.serve.cache.ContentCache`.  The parent tracks in-flight
 jobs through ``started`` acknowledgements, so a worker that is killed
 mid-job (OOM, segfault, operator) is detected by liveness polling, its
-job re-queued with exponential backoff (the
-:class:`~repro.analysis.campaign.E50Campaign` retry idiom) and a
-replacement worker spawned.  Per-job wall-clock budgets reuse the
+job re-queued with exponential backoff (the retry rule
+:func:`~repro.serve.lifecycle.retry_delay`, shared with
+:class:`~repro.analysis.campaign.E50Campaign`) and a replacement worker
+spawned.  Per-job wall-clock budgets reuse the
 cooperative :class:`~repro.robustness.Watchdog` inside the worker, backed
 by a parent-side hard lease for workers too wedged to cooperate.
 
-Completions are idempotent by job id, so the at-least-once dispatch that
-crash recovery implies can never produce duplicate results.
-
 Fault containment
 -----------------
-Results are validated parent-side (:func:`validate_result_payload`): a
-payload with missing runs or non-finite best scores counts as a failed
-attempt, not a completion.  A job that exhausts its retry budget (or
-fails non-retryably) lands in the pool's **dead-letter queue**: a
-terminal ``status="dead"`` :class:`JobResult` carrying the error class
-and the full attempt history (``pool.dead_letters`` collects them).
-Cohorts complete *partially*: healthy members complete straight from the
-batched run, and only members the lock-step engine quarantined (see
-:class:`~repro.robustness.LaneQuarantine`) are re-dispatched
-individually with a fresh per-member retry budget; the whole-cohort
-split remains only as the backstop for crashes, where no per-member
-attribution exists.
+What happens to a job — validation, retry, dead-lettering, cohort
+partial completion, idempotent completion by job id — is decided by the
+sans-IO :class:`~repro.serve.lifecycle.JobLifecycle`; both executors
+here only run jobs and feed it events.  A job that exhausts its retry
+budget (or fails non-retryably) lands in the pool's **dead-letter
+queue**: a terminal ``status="dead"`` :class:`JobResult` carrying the
+error class and the full attempt history (``pool.dead_letters``).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import multiprocessing as mp
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from collections import deque
 
 from repro.obs import get_metrics, get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, ContentCache, load_case
+from repro.serve.lifecycle import (Dispatch, JobLifecycle, JobResult,
+                                   validate_result_payload)
 from repro.serve.queue import CohortJob, DockingJob, seed_from_spec
 
 __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
@@ -51,45 +46,9 @@ __all__ = ["DEFAULT_HEARTBEAT_SECONDS", "JobResult", "WorkerPool",
 _CRASH_EXIT = 17
 
 
-@dataclass
-class JobResult:
-    """Terminal record of one job (streamed and manifest-persisted)."""
-
-    job_id: str
-    label: str
-    status: str                       # "ok" | "failed" | "dead" | "cached"
-    attempts: int = 1
-    worker_id: int | None = None
-    wall_seconds: float = 0.0
-    #: serialized :class:`~repro.core.engine.DockingResult` (``ok`` only)
-    result: dict | None = None
-    #: per-job cache hit/miss/eviction deltas
-    cache: dict | None = None
-    error: dict | None = None
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def best_score(self) -> float | None:
-        if self.result is None:
-            return None
-        return min(r["best_score"] for r in self.result["runs"])
-
-    def to_dict(self) -> dict:
-        return {"job_id": self.job_id, "label": self.label,
-                "status": self.status, "attempts": self.attempts,
-                "worker_id": self.worker_id,
-                "wall_seconds": self.wall_seconds, "result": self.result,
-                "cache": self.cache, "error": self.error,
-                "extra": dict(self.extra)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobResult":
-        return cls(job_id=d["job_id"], label=d.get("label", ""),
-                   status=d["status"], attempts=int(d.get("attempts", 1)),
-                   worker_id=d.get("worker_id"),
-                   wall_seconds=float(d.get("wall_seconds", 0.0)),
-                   result=d.get("result"), cache=d.get("cache"),
-                   error=d.get("error"), extra=d.get("extra", {}))
+#: seconds without any pool activity before the lost-dispatch backstop
+#: re-queues every unfinished job (completions dedup by job id)
+STALL_SECONDS = 10.0
 
 
 def _apply_poison(case, spec: dict):
@@ -110,37 +69,13 @@ def _apply_poison(case, spec: dict):
     return replace(case, maps=maps)
 
 
-def validate_result_payload(payload: dict) -> dict | None:
-    """Parent-side result validation; returns an error dict or ``None``.
-
-    A worker can crash, but it can also *lie* — a wedged allocator or an
-    injected fault can hand back a structurally-broken or non-finite
-    result.  Completion therefore requires the payload to carry a
-    non-empty run list with finite best scores; anything else counts as
-    a failed (retryable) attempt, never as a completion.
-    """
-    result = payload.get("result") if isinstance(payload, dict) else None
-    runs = result.get("runs") if isinstance(result, dict) else None
-    if not isinstance(runs, list) or not runs:
-        return {"error_type": "CorruptResult",
-                "message": "result payload has no runs",
-                "retryable": True}
-    for i, run in enumerate(runs):
-        score = run.get("best_score") if isinstance(run, dict) else None
-        if not isinstance(score, (int, float)) or not math.isfinite(score):
-            return {"error_type": "NonFiniteResult",
-                    "message": f"run {i} best_score is {score!r}",
-                    "retryable": True}
-    return None
-
-
 def execute_job(job: DockingJob, cache: ContentCache | None = None,
                 wall_seconds: float | None = None,
                 include_history: bool = False) -> dict:
     """Run one docking job; returns the ``ok`` payload dict.
 
-    Raises whatever the engine raises — the caller (worker loop or
-    inline pool) decides on retry policy.
+    Raises whatever the engine raises — the caller reports it to the
+    job lifecycle, which decides on retry.
     """
     from repro.core.engine import DockingEngine
     from repro.robustness import Watchdog
@@ -283,7 +218,7 @@ def _maybe_corrupt_result(job: DockingJob | CohortJob, payload: dict) -> dict:
     """Post-execution chaos hook: ``"corrupt_result_once": <path>``.
 
     Mangles the first attempt's result (best scores → NaN) *after* a
-    clean run, so the parent-side :func:`validate_result_payload` path —
+    clean run, so the parent-side result validation path —
     reject, retry, eventually dead-letter — is exercised end to end.
     """
     def poison(p: dict) -> None:
@@ -301,12 +236,31 @@ def _maybe_corrupt_result(job: DockingJob | CohortJob, payload: dict) -> dict:
     return payload
 
 
+def _execute(job: DockingJob | CohortJob, cache: ContentCache,
+             wall_seconds: float | None,
+             include_history: bool) -> tuple[str, dict]:
+    """One execution attempt: ``("done", payload)`` or ``("failed", err)``."""
+    run = execute_cohort if isinstance(job, CohortJob) else execute_job
+    try:
+        payload = run(job, cache, wall_seconds=wall_seconds,
+                      include_history=include_history)
+    except Exception as exc:
+        from repro.robustness import WatchdogTimeout
+        get_metrics().counter("worker.job_errors").inc()
+        return "failed", {
+            "error_type": type(exc).__name__, "message": str(exc),
+            "traceback": traceback.format_exc(limit=10),
+            # watchdog aborts are deterministic: retrying burns the same
+            # budget again
+            "retryable": not isinstance(exc, WatchdogTimeout)}
+    return "done", _maybe_corrupt_result(job, payload)
+
+
 #: default worker heartbeat cadence (seconds); override per pool/CLI
 DEFAULT_HEARTBEAT_SECONDS = 5.0
 
 
-def _heartbeat(worker_id: int, jobs_done: int, jobs_failed: int,
-               cache: ContentCache,
+def _heartbeat(worker_id: int, counts: dict, cache: ContentCache,
                interval_s: float = DEFAULT_HEARTBEAT_SECONDS) -> dict:
     """One worker heartbeat: liveness + a metrics snapshot.
 
@@ -316,15 +270,17 @@ def _heartbeat(worker_id: int, jobs_done: int, jobs_failed: int,
     downstream consumers (``stats`` subcommand, gateway liveness checks)
     can judge staleness without knowing pool configuration.
     """
-    return {
+    hb = {
         "worker_id": worker_id,
         "pid": os.getpid(),
-        "jobs_done": jobs_done,
-        "jobs_failed": jobs_failed,
+        "jobs_done": counts["done"],
+        "jobs_failed": counts["failed"],
         "interval_s": interval_s,
         "cache": cache.stats(),
         "metrics": get_metrics().snapshot(),
     }
+    get_tracer().event("worker.heartbeat", **hb)
+    return hb
 
 
 def _make_store(store_root: str | None):
@@ -353,51 +309,27 @@ def _worker_main(task_q, result_q, worker_id: int, cache_bytes: int,
         from repro.obs import configure
         tracer = configure(trace_path, source=f"worker-{worker_id}")
     cache = ContentCache(cache_bytes, store=_make_store(store_root))
-    jobs_done = jobs_failed = 0
+    counts = {"done": 0, "failed": 0}
     tracer.event("worker.start", worker_id=worker_id, pid=os.getpid())
     while True:
         try:
             job = task_q.get(timeout=max(heartbeat_seconds, 0.05))
         except _queue.Empty:
-            hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
-                            interval_s=heartbeat_seconds)
-            tracer.event("worker.heartbeat", **hb)
-            result_q.put(("heartbeat", None, worker_id, hb))
-            continue
-        if job is None:
-            tracer.event("worker.stop", worker_id=worker_id,
-                         jobs_done=jobs_done, jobs_failed=jobs_failed)
-            result_q.put(("bye", None, worker_id, None))
-            return
-        result_q.put(("started", job.job_id, worker_id, None))
-        _maybe_inject_chaos(job)
-        try:
-            if isinstance(job, CohortJob):
-                payload = execute_cohort(
-                    job, cache, wall_seconds=wall_seconds,
-                    include_history=include_history)
-            else:
-                payload = execute_job(
-                    job, cache, wall_seconds=wall_seconds,
-                    include_history=include_history)
-            payload = _maybe_corrupt_result(job, payload)
-            jobs_done += 1
-            result_q.put(("done", job.job_id, worker_id, payload))
-        except Exception as exc:
-            from repro.robustness import WatchdogTimeout
-            jobs_failed += 1
-            get_metrics().counter("worker.job_errors").inc()
-            result_q.put(("failed", job.job_id, worker_id, {
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(limit=10),
-                # watchdog aborts are deterministic: retrying burns the
-                # same budget again (the campaign convention)
-                "retryable": not isinstance(exc, WatchdogTimeout),
-            }))
-        hb = _heartbeat(worker_id, jobs_done, jobs_failed, cache,
+            pass                          # idle: still heartbeat below
+        else:
+            if job is None:
+                tracer.event("worker.stop", worker_id=worker_id,
+                             jobs_done=counts["done"],
+                             jobs_failed=counts["failed"])
+                result_q.put(("bye", None, worker_id, None))
+                return
+            result_q.put(("started", job.job_id, worker_id, None))
+            _maybe_inject_chaos(job)
+            kind, out = _execute(job, cache, wall_seconds, include_history)
+            counts[kind] += 1
+            result_q.put((kind, job.job_id, worker_id, out))
+        hb = _heartbeat(worker_id, counts, cache,
                         interval_s=heartbeat_seconds)
-        tracer.event("worker.heartbeat", **hb)
         result_q.put(("heartbeat", None, worker_id, hb))
 
 
@@ -415,7 +347,8 @@ class WorkerPool:
         transient error.
     backoff:
         Base of the exponential re-queue delay: attempt ``k`` waits
-        ``backoff * 2**(k-1)`` seconds.
+        ``backoff * 2**(k-1)`` seconds
+        (:func:`~repro.serve.lifecycle.retry_delay`).
     job_wall_seconds:
         Cooperative per-job watchdog budget (``None`` disables).
     lease_seconds:
@@ -461,7 +394,6 @@ class WorkerPool:
                  start_method: str = "spawn",
                  include_history: bool = False,
                  poll_seconds: float = 0.1,
-                 stall_seconds: float = 10.0,
                  max_respawns: int | None = None,
                  trace_path: str | None = None,
                  heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
@@ -479,7 +411,6 @@ class WorkerPool:
         self.start_method = start_method
         self.include_history = include_history
         self.poll_seconds = poll_seconds
-        self.stall_seconds = stall_seconds
         self.max_respawns = (max_respawns if max_respawns is not None
                              else 8 * max(workers, 1))
         self.trace_path = trace_path
@@ -491,44 +422,17 @@ class WorkerPool:
         self.workers_replaced = 0
         #: last heartbeat per worker id (inline mode uses key "inline")
         self.heartbeats: dict = {}
-        #: terminal ``status="dead"`` results (cumulative over map calls)
-        self.dead_letters: list[JobResult] = []
-        #: cohort members quarantined by the lock-step engine (count)
-        self.quarantines = 0
+        self._lifecycles: list[JobLifecycle] = []
 
-    # ------------------------------------------------------------------
+    @property
+    def dead_letters(self) -> list[JobResult]:
+        """Terminal ``status="dead"`` results (cumulative over map calls)."""
+        return [r for lc in self._lifecycles for r in lc.dead_letters]
 
-    def _dead(self, job, attempts: int, error: dict | None,
-              history: list[dict], worker_id: int | None = None
-              ) -> JobResult:
-        """Build, record and return a terminal dead-letter result."""
-        res = JobResult(
-            job_id=job.job_id, label=job.label, status="dead",
-            attempts=attempts, worker_id=worker_id, error=error,
-            extra={"attempt_history": list(history)})
-        self.dead_letters.append(res)
-        get_metrics().counter("pool.dead_letters").inc()
-        get_tracer().event("job.dead", job_id=job.job_id, label=job.label,
-                           attempts=attempts,
-                           error_type=(error or {}).get("error_type"))
-        return res
-
-    def _note_quarantines(self, cohort_id: str, quarantined: list[dict],
-                          history: dict) -> None:
-        """Account a cohort's quarantined members before re-dispatch."""
-        self.quarantines += len(quarantined)
-        get_metrics().counter("pool.quarantines").inc(len(quarantined))
-        for q in quarantined:
-            get_tracer().event(
-                "cohort.quarantine_redispatch", cohort=cohort_id,
-                job_id=q["job_id"], label=q["label"],
-                reason=q["quarantine"].get("reason"))
-            history.setdefault(q["job_id"], []).append({
-                "attempt": 0, "error_type": "LaneQuarantine",
-                "message": (f"{q['quarantine'].get('reason')}: "
-                            f"{q['quarantine'].get('detail', '')}")})
-
-    # ------------------------------------------------------------------
+    @property
+    def quarantines(self) -> int:
+        """Cohort members quarantined by the lock-step engine."""
+        return sum(lc.quarantines for lc in self._lifecycles)
 
     def map(self, jobs: list[DockingJob]):
         """Yield one terminal :class:`JobResult` per job, as completed.
@@ -538,455 +442,143 @@ class WorkerPool:
         result even across worker crashes (idempotent completion by job
         id).
         """
+        lifecycle = JobLifecycle(self.retries, self.backoff)
+        self._lifecycles.append(lifecycle)
         if self.workers == 0:
-            yield from self._map_inline(jobs)
+            yield from self._map_inline(jobs, lifecycle)
             return
-        yield from self._map_processes(jobs)
+        yield from self._map_processes(jobs, lifecycle)
 
     # -- inline (workers=0) -------------------------------------------
 
-    def _map_inline(self, jobs):
-        """Inline execution: one cache and one set of counters.
-
-        The cache, the heartbeat's ``jobs_done``/``jobs_failed`` counters
-        and the completed-id set are shared across the cohort-split /
-        quarantine-re-dispatch recursion in :meth:`_run_inline`, so a
-        split cohort reuses the warm cache, the heartbeat counts stay
-        monotone across recursion, and a job can never complete twice
-        (idempotent completion, same contract as the process pool).
-        """
+    def _map_inline(self, jobs, lc: JobLifecycle):
+        """Inline execution with one cache, depth first: a job's retries
+        and its cohort's re-dispatched members run before the next job,
+        exactly as a single worker would take them."""
         cache = ContentCache(self.cache_bytes,
                              store=_make_store(self.store_root))
-        state = {"done": 0, "failed": 0, "completed": set(),
-                 "history": {}}
-        yield from self._run_inline(list(jobs), cache, state)
-
-    def _inline_heartbeat(self, cache, state) -> None:
-        hb = _heartbeat(-1, state["done"], state["failed"], cache,
-                        interval_s=self.heartbeat_seconds)
-        self.heartbeats["inline"] = hb
-        get_tracer().event("worker.heartbeat", **hb)
-
-    def _run_inline(self, jobs, cache, state):
-        tracer = get_tracer()
-        for job in jobs:
-            if job.job_id in state["completed"]:
-                continue                 # already terminal via recursion
-            if isinstance(job, CohortJob):
-                tracer.event("job.dispatch", job_id=job.job_id,
-                             label=job.label, cohort=len(job.jobs))
-                try:
-                    payload = execute_cohort(
-                        job, cache, wall_seconds=self.job_wall_seconds,
-                        include_history=self.include_history)
-                except Exception as exc:
-                    # no per-member attribution on a raw exception: fall
-                    # back to the members individually (each gets the
-                    # normal retry budget; completed ids are skipped)
-                    get_metrics().counter("pool.cohort_splits").inc()
-                    tracer.event("cohort.split", job_id=job.job_id,
-                                 members=len(job.jobs),
-                                 error_type=type(exc).__name__)
-                    yield from self._run_inline(list(job.jobs), cache,
-                                                state)
-                    continue
-                members_by_id = {m.job_id: m for m in job.jobs}
-                redispatch = [members_by_id[q["job_id"]]
-                              for q in payload["quarantined"]]
-                self._note_quarantines(job.job_id, payload["quarantined"],
-                                       state["history"])
-                tracer.event("job.complete", job_id=job.job_id,
-                             label=job.label, attempts=1,
-                             wall_seconds=payload["wall_seconds"],
-                             cache=payload.get("cache"),
-                             cohort=len(job.jobs),
-                             quarantined=len(payload["quarantined"]))
-                for k, member in enumerate(payload["members"]):
-                    err = validate_result_payload(member["payload"])
-                    if err is not None:
-                        state["history"].setdefault(
-                            member["job_id"], []).append(
-                            {"attempt": 1, **err})
-                        redispatch.append(members_by_id[member["job_id"]])
-                        continue
-                    state["done"] += 1
-                    state["completed"].add(member["job_id"])
-                    yield JobResult(
-                        job_id=member["job_id"], label=member["label"],
-                        status="ok", attempts=1, worker_id=None,
-                        wall_seconds=member["payload"]["wall_seconds"],
-                        result=member["payload"]["result"],
-                        cache=payload.get("cache") if k == 0 else None,
-                        extra={"cohort": job.job_id,
-                               "cohort_size": len(job.jobs)})
-                self._inline_heartbeat(cache, state)
-                if redispatch:
-                    # quarantine-aware partial completion: only the
-                    # frozen/invalid members retry individually
-                    yield from self._run_inline(redispatch, cache, state)
-                continue
-            attempts = 0
-            history = state["history"].setdefault(job.job_id, [])
-            tracer.event("job.dispatch", job_id=job.job_id,
-                         label=job.label)
-            while True:
-                attempts += 1
-                err = None
-                payload = None
-                try:
-                    payload = execute_job(
-                        job, cache, wall_seconds=self.job_wall_seconds,
-                        include_history=self.include_history)
-                    err = validate_result_payload(payload)
-                except Exception as exc:
-                    from repro.robustness import WatchdogTimeout
-                    err = {"error_type": type(exc).__name__,
-                           "message": str(exc),
-                           # watchdog aborts are deterministic: retrying
-                           # burns the same budget again
-                           "retryable": not isinstance(exc,
-                                                       WatchdogTimeout)}
-                if err is None:
-                    state["done"] += 1
-                    state["completed"].add(job.job_id)
-                    tracer.event("job.complete", job_id=job.job_id,
-                                 label=job.label, attempts=attempts,
-                                 wall_seconds=payload["wall_seconds"],
-                                 cache=payload.get("cache"))
-                    yield JobResult(
-                        job_id=job.job_id, label=job.label, status="ok",
-                        attempts=attempts, worker_id=None,
-                        wall_seconds=payload["wall_seconds"],
-                        result=payload["result"],
-                        cache=payload.get("cache"),
-                        extra=({"attempt_history": list(history)}
-                               if history else {}))
-                    break
-                history.append({"attempt": attempts,
-                                "error_type": err["error_type"],
-                                "message": err["message"]})
-                if err.get("retryable", True) and attempts <= self.retries:
-                    get_metrics().counter("pool.retries").inc()
-                    tracer.event("job.retry", job_id=job.job_id,
-                                 attempts=attempts)
-                    time.sleep(self.backoff * 2 ** (attempts - 1))
-                    continue
-                state["failed"] += 1
-                state["completed"].add(job.job_id)
-                tracer.event("job.failed", job_id=job.job_id,
-                             label=job.label, attempts=attempts,
-                             error_type=err["error_type"])
-                yield self._dead(job, attempts, err, history)
-                break
-            self._inline_heartbeat(cache, state)
+        counts = {"done": 0, "failed": 0}
+        todo = deque(lc.submit(jobs, time.monotonic()))
+        while todo:
+            dispatch = todo.popleft()
+            job, job_id = dispatch.job, dispatch.job.job_id
+            delay = dispatch.at - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            lc.started(job_id, time.monotonic())
+            kind, out = _execute(job, cache, self.job_wall_seconds,
+                                 self.include_history)
+            counts[kind] += 1
+            event = lc.payload if kind == "done" else lc.error
+            decisions = event(job_id, out, time.monotonic())
+            self.heartbeats["inline"] = _heartbeat(
+                -1, counts, cache, interval_s=self.heartbeat_seconds)
+            todo.extendleft(reversed([d for d in decisions
+                                      if isinstance(d, Dispatch)]))
+            yield from (d.result for d in decisions
+                        if not isinstance(d, Dispatch))
 
     # -- multiprocessing ----------------------------------------------
 
-    def _spawn_worker(self, ctx, task_q, result_q, worker_id):
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(task_q, result_q, worker_id, self.cache_bytes,
-                  self.job_wall_seconds, self.include_history,
-                  self.trace_path, self.heartbeat_seconds,
-                  self.store_root),
-            daemon=True, name=f"repro-serve-worker-{worker_id}")
-        proc.start()
-        return proc
-
-    def _map_processes(self, jobs):
+    def _map_processes(self, jobs, lc: JobLifecycle):
+        """Process I/O only: queues, spawning, heartbeats, leases, the
+        respawn breaker and the lost-dispatch backstop."""
         import queue as _queue
 
-        tracer = get_tracer()
         ctx = mp.get_context(self.start_method)
         task_q = ctx.Queue()
         result_q = ctx.Queue()
-
-        pending: dict[str, DockingJob] = {}
-        attempts: dict[str, int] = {}
-        history: dict[str, list[dict]] = {}            # id -> attempt log
-        in_flight: dict[str, tuple[int, float]] = {}   # id -> (wid, t0)
-        worker_job: dict[int, str] = {}
-        retry_at: list[tuple[float, DockingJob]] = []
         procs: dict[int, mp.process.BaseProcess] = {}
-        respawns = {"n": 0}
-        self._next_wid = 0
+        wids = itertools.count()
+        later: list[Dispatch] = []      # queued by the loop once due
+        replaced_before = self.workers_replaced
 
-        def clear_flight(job_id: str) -> None:
-            entry = in_flight.pop(job_id, None)
-            if entry is not None:
-                worker_job.pop(entry[0], None)
+        def settle(decisions) -> list[JobResult]:
+            """Park dispatches for the loop; return terminal results."""
+            later.extend(d for d in decisions if isinstance(d, Dispatch))
+            return [d.result for d in decisions
+                    if not isinstance(d, Dispatch)]
 
-        def schedule_retry(job: DockingJob) -> None:
-            delay = self.backoff * 2 ** max(attempts[job.job_id] - 1, 0)
-            retry_at.append((time.monotonic() + delay, job))
-            get_metrics().counter("pool.retries").inc()
-            tracer.event("job.retry", job_id=job.job_id,
-                         attempts=attempts[job.job_id], delay_s=delay)
-
-        def split_cohort(cjob: CohortJob) -> None:
-            """Re-dispatch a failed/crashed cohort's members individually.
-
-            Splitting (rather than retrying the cohort) isolates the bad
-            member: the others run to completion and only the culprit
-            burns its retry budget.  Happens at most once per cohort —
-            members are plain jobs afterwards.
-            """
-            att = attempts.get(cjob.job_id, 1)
-            get_metrics().counter("pool.cohort_splits").inc()
-            tracer.event("cohort.split", job_id=cjob.job_id,
-                         members=len(cjob.jobs))
-            for member in cjob.jobs:
-                if member.job_id in pending:
-                    continue
-                pending[member.job_id] = member
-                # the member's "started" ack will re-increment; inherit
-                # the cohort's attempt count so budgets carry over
-                attempts[member.job_id] = max(att - 1, 0)
-                task_q.put(member)
-                tracer.event("job.dispatch", job_id=member.job_id,
-                             label=member.label,
-                             split_from=cjob.job_id)
+        def spawn() -> int:
+            wid = next(wids)
+            procs[wid] = ctx.Process(
+                target=_worker_main,
+                args=(task_q, result_q, wid, self.cache_bytes,
+                      self.job_wall_seconds, self.include_history,
+                      self.trace_path, self.heartbeat_seconds,
+                      self.store_root),
+                daemon=True, name=f"repro-serve-worker-{wid}")
+            procs[wid].start()
+            return wid
 
         def reap_dead_workers() -> list[JobResult]:
-            """Dead/over-lease workers: re-queue or fail their jobs."""
+            """Terminate over-lease workers; report dead ones as crashes."""
             now = time.monotonic()
             if self.lease_seconds is not None:
-                for jid, (wid, t0) in list(in_flight.items()):
+                for wid in lc.overdue(now - self.lease_seconds):
                     proc = procs.get(wid)
-                    if (now - t0 > self.lease_seconds and proc is not None
-                            and proc.is_alive()):
+                    if proc is not None and proc.is_alive():
                         proc.terminate()     # handled as a crash below
             lost: list[JobResult] = []
             for wid, proc in list(procs.items()):
                 if proc.is_alive():
                     continue
                 del procs[wid]
-                job_id = worker_job.pop(wid, None)
-                if job_id is not None and job_id in pending:
-                    in_flight.pop(job_id, None)
-                    job = pending[job_id]
-                    crash = {"error_type": "WorkerCrash",
-                             "message": f"worker {wid} died "
-                                        f"(exit {proc.exitcode})",
-                             "retryable": False}
-                    history.setdefault(job_id, []).append(
-                        {"attempt": attempts[job_id],
-                         "error_type": crash["error_type"],
-                         "message": crash["message"]})
-                    if isinstance(job, CohortJob):
-                        pending.pop(job_id)
-                        split_cohort(job)
-                    elif attempts[job_id] <= self.retries:
-                        schedule_retry(job)
-                    else:
-                        pending.pop(job_id)
-                        lost.append(self._dead(
-                            job, attempts[job_id], crash,
-                            history[job_id], worker_id=wid))
-                if pending:                  # keep the pool at strength
-                    if respawns["n"] >= self.max_respawns:
+                lost += settle(lc.crash(
+                    wid, f"worker {wid} died (exit {proc.exitcode})", now))
+                if lc.open:                  # keep the pool at strength
+                    respawns = self.workers_replaced - replaced_before
+                    if respawns >= self.max_respawns:
                         raise RuntimeError(
-                            f"worker pool crash-looping: "
-                            f"{respawns['n']} workers replaced (cap "
-                            f"{self.max_respawns}) with "
-                            f"{len(pending)} jobs unfinished — the "
+                            f"worker pool crash-looping: {respawns} "
+                            f"workers replaced (cap {self.max_respawns}) "
+                            f"with {lc.open} jobs unfinished — the "
                             f"worker environment is broken (last exit "
                             f"code {proc.exitcode})")
-                    procs[self._next_wid] = self._spawn_worker(
-                        ctx, task_q, result_q, self._next_wid)
-                    self._next_wid += 1
-                    respawns["n"] += 1
+                    replacement = spawn()
                     self.workers_replaced += 1
                     get_metrics().counter("pool.crashes").inc()
-                    tracer.event("worker.respawn", died=wid,
-                                 replacement=self._next_wid - 1,
-                                 exitcode=proc.exitcode)
+                    get_tracer().event("worker.respawn", died=wid,
+                                       replacement=replacement,
+                                       exitcode=proc.exitcode)
             return lost
 
-        for job in jobs:
-            if job.job_id in pending:
-                continue                       # content-identical dup
-            pending[job.job_id] = job
-            attempts[job.job_id] = 0
-            task_q.put(job)
-            tracer.event("job.dispatch", job_id=job.job_id,
-                         label=job.label)
-
+        settle(lc.submit(jobs, time.monotonic()))
         try:
             for _ in range(self.workers):
-                procs[self._next_wid] = self._spawn_worker(
-                    ctx, task_q, result_q, self._next_wid)
-                self._next_wid += 1
-
+                spawn()
             last_activity = time.monotonic()
-            while pending:
+            while lc.open:
                 now = time.monotonic()
-
-                # due retries back onto the shared queue
-                while retry_at and retry_at[0][0] <= now:
-                    _, job = retry_at.pop(0)
-                    task_q.put(job)
-                    tracer.event("job.dispatch", job_id=job.job_id,
-                                 label=job.label, retry=True)
+                due = [d for d in later if d.at <= now]
+                if due:
+                    later[:] = [d for d in later if d.at > now]
+                    for d in due:
+                        task_q.put(d.job)
                     last_activity = now
-
                 try:
                     kind, job_id, wid, payload = result_q.get(
                         timeout=self.poll_seconds)
                 except _queue.Empty:
                     yield from reap_dead_workers()
-                    if (time.monotonic() - last_activity
-                            > self.stall_seconds and not in_flight
-                            and not retry_at):
+                    if (time.monotonic() - last_activity > STALL_SECONDS
+                            and not lc.in_flight and not later):
                         # lost-dispatch backstop: re-queue whatever is
                         # still unaccounted for (completions dedup)
-                        for job in pending.values():
+                        for job in lc.live_jobs():
                             task_q.put(job)
                         last_activity = time.monotonic()
                     continue
 
-                last_activity = time.monotonic()
+                last_activity = now = time.monotonic()
                 if kind == "started":
-                    if job_id in pending:
-                        attempts[job_id] += 1
-                        in_flight[job_id] = (wid, last_activity)
-                        worker_job[wid] = job_id
+                    lc.started(job_id, now, worker=wid)
                 elif kind == "heartbeat":
                     self.heartbeats[wid] = payload
                 elif kind == "done":
-                    if job_id not in pending:
-                        continue               # duplicate completion
-                    job = pending.pop(job_id)
-                    clear_flight(job_id)
-                    if isinstance(job, CohortJob):
-                        quarantined = payload.get("quarantined") or []
-                        members_by_id = {m.job_id: m for m in job.jobs}
-                        redispatch = [members_by_id[q["job_id"]]
-                                      for q in quarantined]
-                        self._note_quarantines(job_id, quarantined,
-                                               history)
-                        tracer.event("job.complete", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     wall_seconds=payload["wall_seconds"],
-                                     cache=payload.get("cache"),
-                                     cohort=len(job.jobs),
-                                     quarantined=len(quarantined))
-                        tracer.event("pool.depth", pending=len(pending),
-                                     in_flight=len(in_flight))
-                        for k, member in enumerate(payload["members"]):
-                            err = validate_result_payload(
-                                member["payload"])
-                            if err is not None:
-                                history.setdefault(
-                                    member["job_id"], []).append(
-                                    {"attempt": 1, **err})
-                                redispatch.append(
-                                    members_by_id[member["job_id"]])
-                                continue
-                            mh = history.get(member["job_id"])
-                            yield JobResult(
-                                job_id=member["job_id"],
-                                label=member["label"], status="ok",
-                                attempts=max(attempts[job_id], 1),
-                                worker_id=wid,
-                                wall_seconds=member["payload"]
-                                                   ["wall_seconds"],
-                                result=member["payload"]["result"],
-                                cache=(payload.get("cache")
-                                       if k == 0 else None),
-                                extra={"cohort": job_id,
-                                       "cohort_size": len(job.jobs),
-                                       **({"attempt_history": list(mh)}
-                                          if mh else {})})
-                        # quarantine-aware partial completion: healthy
-                        # members are done above; only frozen/invalid
-                        # members retry individually, with a fresh
-                        # per-member budget (they never ran solo)
-                        for member in redispatch:
-                            if member.job_id in pending:
-                                continue
-                            pending[member.job_id] = member
-                            attempts[member.job_id] = 0
-                            task_q.put(member)
-                            tracer.event("job.dispatch",
-                                         job_id=member.job_id,
-                                         label=member.label,
-                                         requeued_from=job_id)
-                        continue
-                    err = validate_result_payload(payload)
-                    if err is not None:
-                        # the worker reported success but the result is
-                        # unusable: a failed attempt, never a completion
-                        get_metrics().counter("pool.corrupt_results").inc()
-                        tracer.event("job.corrupt_result", job_id=job_id,
-                                     worker_id=wid,
-                                     error_type=err["error_type"],
-                                     message=err["message"])
-                        history.setdefault(job_id, []).append(
-                            {"attempt": attempts[job_id],
-                             "error_type": err["error_type"],
-                             "message": err["message"]})
-                        if attempts[job_id] <= self.retries:
-                            pending[job_id] = job
-                            schedule_retry(job)
-                        else:
-                            yield self._dead(
-                                job, max(attempts[job_id], 1), err,
-                                history[job_id], worker_id=wid)
-                        continue
-                    tracer.event("job.complete", job_id=job_id,
-                                 label=job.label, worker_id=wid,
-                                 attempts=max(attempts[job_id], 1),
-                                 wall_seconds=payload["wall_seconds"],
-                                 cache=payload.get("cache"))
-                    tracer.event("pool.depth", pending=len(pending),
-                                 in_flight=len(in_flight))
-                    jh = history.get(job_id)
-                    yield JobResult(
-                        job_id=job_id, label=job.label, status="ok",
-                        attempts=max(attempts[job_id], 1), worker_id=wid,
-                        wall_seconds=payload["wall_seconds"],
-                        result=payload["result"],
-                        cache=payload.get("cache"),
-                        extra=({"attempt_history": list(jh)}
-                               if jh else {}))
+                    yield from settle(lc.payload(job_id, payload, now, wid))
                 elif kind == "failed":
-                    if job_id not in pending:
-                        continue
-                    job = pending[job_id]
-                    clear_flight(job_id)
-                    history.setdefault(job_id, []).append(
-                        {"attempt": attempts[job_id],
-                         "error_type": payload.get("error_type"),
-                         "message": payload.get("message")})
-                    if isinstance(job, CohortJob):
-                        # don't retry the whole batch: split so only the
-                        # culprit member burns its budget (a watchdog
-                        # timeout also splits — per-member budgets are
-                        # fresh and the cohort budget was shared)
-                        pending.pop(job_id)
-                        tracer.event("job.failed", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     error_type=payload.get("error_type"),
-                                     cohort=len(job.jobs))
-                        split_cohort(job)
-                        continue
-                    if (payload.get("retryable", True)
-                            and attempts[job_id] <= self.retries):
-                        schedule_retry(job)
-                    else:
-                        pending.pop(job_id)
-                        tracer.event("job.failed", job_id=job_id,
-                                     label=job.label, worker_id=wid,
-                                     attempts=max(attempts[job_id], 1),
-                                     error_type=payload.get("error_type"))
-                        tracer.event("pool.depth", pending=len(pending),
-                                     in_flight=len(in_flight))
-                        yield self._dead(
-                            job, max(attempts[job_id], 1), payload,
-                            history[job_id], worker_id=wid)
+                    yield from settle(lc.error(job_id, payload, now, wid))
                 # "bye" needs no handling: drain happens after the loop
 
             # graceful drain: every job accounted for

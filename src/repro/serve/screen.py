@@ -31,16 +31,15 @@ from pathlib import Path
 from repro.core.config import DockingConfig
 from repro.obs import get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, file_sha256, maps_digest
-from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS,
+from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS, MANIFEST_VERSION,
                                   SHARD_AUTO_THRESHOLD, ShardedManifest,
-                                  atomic_write_json, load_manifest_jobs)
+                                  atomic_write_json, load_manifest_jobs,
+                                  rank)
 from repro.serve.pool import JobResult, WorkerPool
 from repro.serve.queue import (DockingJob, JobQueue, canonical_spec,
                                pack_cohorts, spawn_seed)
 
 __all__ = ["VirtualScreen", "ScreenReport"]
-
-MANIFEST_VERSION = 1
 
 
 @dataclass
@@ -53,11 +52,6 @@ class ScreenReport:
     ranking: list[dict]
     stats: dict
     manifest_path: str | None = None
-
-    @property
-    def completed(self) -> list[JobResult]:
-        return [r for r in self.results.values()
-                if r.status not in ("failed", "dead")]
 
     @property
     def failed(self) -> list[JobResult]:
@@ -361,7 +355,7 @@ class VirtualScreen:
 
         report = ScreenReport(
             results=results,
-            ranking=self._ranking(results),
+            ranking=rank({jid: r.to_dict() for jid, r in results.items()}),
             stats=self._stats(results, new_results, queue, t0, workers,
                               heartbeats, pool_stats),
             manifest_path=str(manifest) if manifest is not None else None)
@@ -383,17 +377,6 @@ class VirtualScreen:
                 "workers_replaced": pool.workers_replaced}
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ranking(results: dict[str, JobResult]) -> list[dict]:
-        ranked = [r for r in results.values()
-                  if r.status in ("ok", "cached") and r.result is not None]
-        ranked.sort(key=lambda r: r.best_score)
-        return [{"rank": k + 1, "label": r.label, "job_id": r.job_id,
-                 "best_score": r.best_score,
-                 "total_evals": r.result["total_evals"],
-                 "status": r.status}
-                for k, r in enumerate(ranked)]
 
     @staticmethod
     def _stats(results, new_results, queue: JobQueue, t0: float,
@@ -472,18 +455,14 @@ class VirtualScreen:
         """Durable atomic write: fsynced before the rename and tmp-named
         per PID, so neither a power cut nor a concurrent screen on the
         same path can leave a torn or empty manifest."""
+        jobs = {jid: r.to_dict() for jid, r in results.items()}
         payload = {
             "version": MANIFEST_VERSION,
             "screen": self._screen_header(),
-            "jobs": {jid: r.to_dict() for jid, r in results.items()},
-            "ranking": self._ranking(results),
+            "jobs": jobs,
+            "ranking": rank(jobs),
             "stats": self._stats(results, list(results.values()),
                                  queue, t0, workers, heartbeats,
                                  pool_stats),
         }
         atomic_write_json(path, payload)
-
-    @staticmethod
-    def _load_manifest(path: str | Path) -> dict:
-        """job_id -> JobResult dict from a manifest written by run()."""
-        return load_manifest_jobs(path)

@@ -1,7 +1,9 @@
 """Tests for repro.obs: tracer spans, metrics registry, schema, report."""
 
+import ast
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.obs import (
     validate_event,
     validate_log,
 )
-from repro.obs.schema import read_log
+from repro.obs.schema import WELL_KNOWN_EVENTS, WELL_KNOWN_SPANS, read_log
 
 
 class TestSpanNesting:
@@ -345,3 +347,37 @@ class TestReductionMetrics:
         assert h["count"] == 1 and h["total"] > 0
         assert snap["counters"]["reduction.baseline.calls"] == 2
         assert snap["counters"]["gradient.evals"] == 4
+
+
+class TestEventVocabulary:
+    """The registry in :mod:`repro.obs.schema` is a contract: every
+    literal name passed to ``.event(`` / ``.span(`` under ``src/`` is
+    registered, and every registered name is emitted somewhere."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _emitted(self) -> dict[str, set[str]]:
+        found = {"event": set(), "span": set()}
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in found and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and isinstance(node.args[0].value, str)):
+                    found[node.func.attr].add(node.args[0].value)
+        return found
+
+    @staticmethod
+    def _registered(registry: dict) -> set[str]:
+        return {name for names in registry.values() for name in names}
+
+    def test_scan_sees_calls_split_across_lines(self):
+        assert "gateway.unpredictable_admit" in self._emitted()["event"]
+
+    def test_events_match_registry(self):
+        assert self._emitted()["event"] == \
+            self._registered(WELL_KNOWN_EVENTS)
+
+    def test_spans_match_registry(self):
+        assert self._emitted()["span"] == self._registered(WELL_KNOWN_SPANS)

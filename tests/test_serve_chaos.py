@@ -15,7 +15,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.core import DockingConfig
+from repro.obs import get_metrics
 from repro.robustness import WatchdogTimeout  # noqa: F401  (re-exported)
 from repro.search.lga import LGAConfig
 from repro.serve import (CohortJob, DockingJob, VirtualScreen, WorkerPool,
@@ -92,6 +95,55 @@ class TestDeadLetterInline:
         kinds = [h["error_type"] for h in dead.extra["attempt_history"]]
         assert kinds[0] == "LaneQuarantine"
         assert "NonFiniteResult" in kinds
+
+
+class TestExecutorParity:
+    """Both executors drive one job lifecycle, so a fault produces the
+    same terminal records and the same pool counters under either."""
+
+    COUNTERS = ("pool.corrupt_results", "pool.retries",
+                "pool.dead_letters", "pool.quarantines")
+
+    @staticmethod
+    def _run(pool, jobs):
+        before = get_metrics().snapshot()["counters"]
+        results = {r.label: r for r in pool.map(jobs)}
+        after = get_metrics().snapshot()["counters"]
+        deltas = {k: after.get(k, 0) - before.get(k, 0)
+                  for k in TestExecutorParity.COUNTERS}
+        summary = {label: (r.status, r.attempts,
+                           [h["error_type"]
+                            for h in r.extra.get("attempt_history", [])])
+                   for label, r in results.items()}
+        return summary, deltas
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_poisoned_solo_job(self, workers):
+        pool = WorkerPool(workers=workers, retries=1, backoff=0.0,
+                          poll_seconds=0.05)
+        summary, deltas = self._run(pool, [case_job(
+            "1u4d", spec_extra={"poison_nonfinite": True})])
+        assert summary == {"1u4d": (
+            "dead", 2, ["NonFiniteResult", "NonFiniteResult"])}
+        assert deltas == {"pool.corrupt_results": 2, "pool.retries": 1,
+                          "pool.dead_letters": 1, "pool.quarantines": 0}
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_cohort_with_poisoned_member(self, workers):
+        poisoned = case_job("1xoz", 1,
+                            spec_extra={"poison_nonfinite": True})
+        cohort = CohortJob(jobs=(case_job("1u4d", 0), poisoned,
+                                 case_job("7cpa", 2)))
+        pool = WorkerPool(workers=workers, retries=0, backoff=0.0,
+                          poll_seconds=0.05)
+        summary, deltas = self._run(pool, [cohort])
+        assert summary == {
+            "1u4d": ("ok", 1, []),
+            "1xoz": ("dead", 1, ["LaneQuarantine", "NonFiniteResult"]),
+            "7cpa": ("ok", 1, []),
+        }
+        assert deltas == {"pool.corrupt_results": 1, "pool.retries": 0,
+                          "pool.dead_letters": 1, "pool.quarantines": 1}
 
 
 class TestChaosProcessPool:

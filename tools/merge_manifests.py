@@ -10,134 +10,41 @@ This tool folds any mix of sharded manifest directories and single-file
     python tools/merge_manifests.py out/manifest out2/manifest.json \
         --out merged.json --top 10
 
-Semantics mirror the serving layer exactly:
+Loading and ranking are the serving layer's own
+(:func:`repro.serve.manifest.load_manifest_jobs` and
+:func:`repro.serve.manifest.rank`), so a merged sharded screen ranks
+identically to the same screen written through the single-file path.
+Within a shard log the last record wins and a torn tail is skipped;
+across inputs, later command-line arguments supersede earlier ones.
 
-* **last record wins** — within a shard log, later appends supersede
-  earlier ones (that is the append-log contract); across inputs, later
-  command-line arguments supersede earlier ones;
-* **torn tails are skipped** — a crash mid-append leaves at most one
-  unparseable final line per shard, which is data loss of one record,
-  never a read failure;
-* **ranking matches** ``VirtualScreen._ranking`` — jobs with status
-  ``ok``/``cached`` and a result payload, sorted by best score (the min
-  over runs), so a merged sharded screen ranks identically to the same
-  screen written through the single-file path.
-
-Pure stdlib, so CI can run it before any project dependency imports.
+The tool puts the repository's ``src/`` on ``sys.path`` itself, so it
+runs from a checkout without installing the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
-MANIFEST_VERSION = 1
-SHARDED_MANIFEST_VERSION = 1
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.serve.manifest import (MANIFEST_VERSION,  # noqa: E402
+                                  atomic_write_json, load_manifest_jobs,
+                                  rank)
 
 
 class MergeError(Exception):
     pass
 
 
-def _fail(path: Path, msg: str) -> None:
-    raise MergeError(f"{path}: {msg}")
-
-
-# ----------------------------------------------------------------- load
-
-def _load_sharded(path: Path) -> dict[str, dict]:
-    meta_path = path / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(meta_path, f"unreadable sharded-manifest meta: {exc}")
-    if meta.get("version") != SHARDED_MANIFEST_VERSION:
-        _fail(meta_path, f"unsupported sharded-manifest version "
-                         f"{meta.get('version')!r}")
-    jobs: dict[str, dict] = {}
-    for shard_path in sorted(path.glob("shard-*.ndjson")):
-        for line in shard_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue        # torn tail from a crash mid-append
-            jid = rec.get("job_id")
-            if jid:
-                jobs[jid] = rec
-    return jobs
-
-
-def _load_single(path: Path) -> dict[str, dict]:
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(path, f"unreadable manifest: {exc}")
-    if doc.get("version") != MANIFEST_VERSION:
-        _fail(path, f"unsupported manifest version {doc.get('version')!r}")
-    return dict(doc.get("jobs", {}))
-
-
-def load_jobs(path: Path) -> dict[str, dict]:
-    """job_id -> result record from either manifest format."""
-    if path.is_dir():
-        if not (path / "meta.json").is_file():
-            _fail(path, "directory is not a sharded manifest "
-                        "(no meta.json)")
-        return _load_sharded(path)
-    if path.is_file():
-        return _load_single(path)
-    _fail(path, "no such manifest")
-    raise AssertionError("unreachable")
-
-
-# ----------------------------------------------------------------- rank
-
-def _best_score(rec: dict) -> float | None:
-    result = rec.get("result")
-    if not result or not result.get("runs"):
-        return None
-    return min(r["best_score"] for r in result["runs"])
-
-
-def rank(jobs: dict[str, dict]) -> list[dict]:
-    """Ranked hit list, same shape as ``VirtualScreen._ranking``."""
-    scored = []
-    for rec in jobs.values():
-        if rec.get("status") not in ("ok", "cached"):
-            continue
-        score = _best_score(rec)
-        if score is None:
-            continue
-        scored.append((score, rec))
-    scored.sort(key=lambda pair: pair[0])
-    return [{"rank": k + 1, "label": rec.get("label", ""),
-             "job_id": rec["job_id"], "best_score": score,
-             "total_evals": rec["result"]["total_evals"],
-             "status": rec["status"]}
-            for k, (score, rec) in enumerate(scored)]
-
-
-# ---------------------------------------------------------------- write
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def merge(paths: list[Path]) -> dict:
     jobs: dict[str, dict] = {}
     for path in paths:
-        jobs.update(load_jobs(path))
+        try:
+            jobs.update(load_manifest_jobs(path))
+        except (OSError, ValueError) as exc:
+            raise MergeError(f"{path}: unreadable manifest: {exc}") from None
     ranking = rank(jobs)
     by_status: dict[str, int] = {}
     for rec in jobs.values():
@@ -181,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  #{rec['rank']:<3d} {rec['label']:<24s} "
               f"{rec['best_score']:10.4f}  [{rec['status']}]")
     if args.out is not None:
-        _atomic_write_json(args.out, doc)
+        atomic_write_json(args.out, doc)
         print(f"wrote {args.out}")
     return 0
 
