@@ -271,11 +271,11 @@ def bench_screen(n_ligands: int, workdir: Path) -> dict:
         }
         return section, report
 
-    cold, cold_report = _run("cold", manifest_shards=0)   # single file
-    warm, warm_report = _run("warm", manifest_shards=2)   # sharded
+    cold, cold_report = _run("cold", manifest_shards=1)
+    warm, warm_report = _run("warm", manifest_shards=2)
 
-    # the sharded warm manifest must merge to the cold single-file
-    # ranking (same seed, same library => same jobs, same scores)
+    # the 2-shard warm manifest must merge to the cold 1-shard ranking
+    # (same seed, same library => same jobs, same scores)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from tools.merge_manifests import merge
     merged = merge([workdir / "manifest-warm"])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
+import os  # noqa: F401  (tests patch os.replace through this module)
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,16 +213,13 @@ class E50Campaign:
 
     @staticmethod
     def save(results: list[CampaignResult], path: str | Path) -> None:
-        """Checkpoint results as JSON, atomically.
-
-        The payload is written to a sibling temp file and moved into place
-        with :func:`os.replace`, so a sweep killed mid-write can never
-        leave a truncated or corrupt checkpoint behind.
+        """Checkpoint results as JSON, durably and atomically
+        (:func:`repro.serve.manifest.atomic_write_json`), so a sweep
+        killed mid-write can never leave a truncated or corrupt
+        checkpoint behind.
         """
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps([r.as_dict() for r in results], indent=2))
-        os.replace(tmp, path)
+        from repro.serve.manifest import atomic_write_json
+        atomic_write_json(path, [r.as_dict() for r in results])
 
     @staticmethod
     def load(path: str | Path) -> list[CampaignResult]:

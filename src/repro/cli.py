@@ -323,15 +323,13 @@ def build_screen_parser() -> argparse.ArgumentParser:
     p.add_argument("--lsit", type=int, default=20,
                    help="max local-search iterations")
     p.add_argument("--manifest", default="screen_manifest.json",
-                   help="resumable ranked manifest path (JSON, written "
-                        "atomically after every job)")
+                   help="resumable result log directory, one record "
+                        "appended per job; rank it into one file with "
+                        "tools/merge_manifests.py DIR --out ranked.json")
     p.add_argument("--manifest-shards", type=int, default=None,
                    metavar="N",
-                   help="write the manifest as N per-shard NDJSON append "
-                        "logs under a directory at --manifest (O(record) "
-                        "appends; merge with tools/merge_manifests.py). "
-                        "Default: auto — single-file below 10k ligands, "
-                        "sharded above; 0 forces single-file")
+                   help="shard count (>= 1) of a new --manifest "
+                        "(default: 1 below 10k ligands, else 8)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="shared disk cache tier: content-addressed "
                         "mmap-able blobs (flat grid buffers, assembled "
@@ -601,7 +599,8 @@ def build_gateway_parser() -> argparse.ArgumentParser:
                    default=_default_heartbeat(), metavar="SEC",
                    help="worker heartbeat interval")
     s.add_argument("--manifest", default=None,
-                   help="ranked manifest path (atomic rewrite per job)")
+                   help="result log directory; each result is appended "
+                        "before it is streamed")
     s.add_argument("--trace", default=None, metavar="JSONL")
     s.add_argument("--bench", default=None, metavar="JSON",
                    help="predictor calibration file (default: the "

@@ -22,7 +22,7 @@ Endpoints (JSON in, JSON/NDJSON out, ``Connection: close``):
                           every known job is terminal (``?once=1`` dumps
                           and closes)
 ``GET /v1/stats``         scheduler snapshot + gateway counters
-``GET /v1/manifest``      ranked manifest of completed jobs
+``GET /v1/manifest``      ranked in-memory view of every job record
 ``GET /healthz``          liveness
 ``POST /v1/shutdown``     graceful stop
 ========================  ==================================================
@@ -30,7 +30,9 @@ Endpoints (JSON in, JSON/NDJSON out, ``Connection: close``):
 Completion stays idempotent end to end: job identity is the content
 hash, duplicate submissions return the existing record, and each shard's
 pool inherits the dedup/retry/dead-letter semantics of
-:mod:`repro.serve`.
+:mod:`repro.serve`.  With ``manifest`` set, every terminal result is
+appended to a :class:`~repro.serve.manifest.ShardedManifest` — the same
+record the screen writes — before ``/v1/stream`` publishes it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.gateway.protocol import (HttpRequest, ProtocolError,
                                     job_from_request, json_response,
@@ -47,7 +48,7 @@ from repro.gateway.protocol import (HttpRequest, ProtocolError,
 from repro.gateway.scheduler import AdmissionError, SLOScheduler
 from repro.obs import get_metrics, get_tracer
 from repro.serve.manifest import (MANIFEST_VERSION, ShardedManifest,
-                                  atomic_write_json, rank)
+                                  rank)
 from repro.serve.pool import (DEFAULT_HEARTBEAT_SECONDS, JobResult,
                               WorkerPool)
 
@@ -81,12 +82,9 @@ class GatewayConfig:
     job_wall_seconds: float | None = None
     heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS
     include_history: bool = False
+    #: result log directory (:class:`repro.serve.manifest
+    #: .ShardedManifest`, ``n_shards`` shards); a restart appends to it
     manifest: str | None = None
-    #: > 0 writes the manifest as per-shard NDJSON append logs
-    #: (:class:`repro.serve.manifest.ShardedManifest`) instead of
-    #: rewriting one JSON document per completion; ``/v1/manifest``
-    #: still serves the merged in-memory view
-    manifest_shards: int = 0
     #: shared disk cache tier root (:class:`repro.serve.store.BlobStore`)
     #: fronted by every shard's worker caches
     store: str | None = None
@@ -127,10 +125,10 @@ class Gateway:
             configure(self.config.trace, source="gateway")
         self._lock = threading.Lock()
         self._manifest_lock = threading.Lock()
-        self._sharded = None
-        if self.config.manifest and self.config.manifest_shards > 0:
-            self._sharded = ShardedManifest(
-                self.config.manifest, n_shards=self.config.manifest_shards)
+        self._manifest = (
+            ShardedManifest(self.config.manifest,
+                            n_shards=self.config.n_shards)
+            if self.config.manifest else None)
         #: job_id -> record dict (see ``_record``); insertion-ordered
         self.jobs: dict[str, dict] = {}
         self._stop = threading.Event()
@@ -160,15 +158,6 @@ class Gateway:
 
     # ------------------------------------------------------------------
     # shard runners
-
-    def _apply_result(self, rec: dict, result: JobResult) -> None:
-        rec["status"] = result.status
-        rec["attempts"] = result.attempts
-        rec["wall_seconds"] = result.wall_seconds
-        rec["best_score"] = result.best_score
-        rec["error"] = result.error
-        rec["result"] = result.to_dict()
-        rec["completed_at"] = time.time()
 
     def _shard_runner(self, shard: int) -> None:
         """One shard's service loop: fair batch → pool → records."""
@@ -201,29 +190,7 @@ class Gateway:
                 for result in pool.map([sj.job for sj in batch]):
                     self.scheduler.job_done(
                         shard, predicted.get(result.job_id, 0.0))
-                    with self._lock:
-                        rec = self.jobs.get(result.job_id)
-                        staged = dict(rec) if rec is not None else None
-                    if staged is not None:
-                        self._apply_result(staged, result)
-                        # write-ahead: persist the terminal record
-                        # BEFORE it becomes visible to /v1/stream — a
-                        # client acting on a streamed result must find
-                        # it in the on-disk manifest.  Persist and
-                        # publish under one manifest-lock hold, else a
-                        # sibling shard snapshots between our write and
-                        # our publish and its (later) write drops this
-                        # record from the on-disk ranking.
-                        with self._manifest_lock:
-                            if self._sharded is not None:
-                                # O(record) append, not O(jobs) rewrite
-                                self._sharded.append(staged)
-                            elif cfg.manifest:
-                                self._write_manifest(staged)
-                            with self._lock:
-                                live = self.jobs.get(result.job_id)
-                                if live is not None:
-                                    live.update(staged)
+                    self._complete(result)
                     tracer.event("gateway.done", job_id=result.job_id,
                                  shard=shard, status=result.status,
                                  wall_seconds=result.wall_seconds,
@@ -234,30 +201,52 @@ class Gateway:
                 for sj in batch:
                     self.scheduler.job_done(
                         shard, predicted.get(sj.job.job_id, 0.0))
-                    with self._lock:
-                        rec = self.jobs.get(sj.job.job_id)
-                        if rec is not None and rec["status"] in (
-                                "queued", "running"):
-                            rec["status"] = "dead"
-                            rec["error"] = {
-                                "error_type": type(exc).__name__,
-                                "message": str(exc)}
-                            rec["completed_at"] = time.time()
+                    dead = JobResult(
+                        job_id=sj.job.job_id, label=sj.job.label,
+                        status="dead", attempts=0,
+                        error={"error_type": type(exc).__name__,
+                               "message": str(exc)})
+                    try:
+                        self._complete(dead)
+                    except OSError:     # the log failed: publish anyway
+                        self._complete(dead, persist=False)
                 tracer.event("gateway.shard_error", shard=shard,
                              error_type=type(exc).__name__,
                              message=str(exc))
 
+    def _complete(self, result: JobResult, persist: bool = True) -> None:
+        """Persist the terminal result of a pending job, then publish it.
+
+        Write-ahead: the record is in the log before it becomes visible
+        to ``/v1/stream``, so a client acting on a streamed result finds
+        it on disk.
+        """
+        with self._lock:
+            rec = self.jobs.get(result.job_id)
+            if rec is None or rec["status"] not in ("queued", "running"):
+                return
+            staged = dict(rec)
+        staged.update(status=result.status, attempts=result.attempts,
+                      wall_seconds=result.wall_seconds,
+                      best_score=result.best_score, error=result.error,
+                      result=result.to_dict(), completed_at=time.time())
+        if persist and self._manifest is not None:
+            with self._manifest_lock:
+                self._manifest.append({**staged["result"], **{
+                    k: staged[k] for k in ("tenant", "shard", "predicted_s",
+                                           "submitted_at", "completed_at")}})
+        with self._lock:
+            live = self.jobs.get(result.job_id)
+            if live is not None:
+                live.update(staged)
+
     # ------------------------------------------------------------------
     # manifest
 
-    def _manifest_doc(self, override: dict | None = None) -> dict:
-        """Snapshot of all job records; ``override`` swaps in a staged
-        terminal record not yet published to ``self.jobs`` (the
-        write-ahead path in the shard runner)."""
+    def _manifest_doc(self) -> dict:
+        """Ranked snapshot of all in-memory job records."""
         with self._lock:
             jobs = {jid: dict(rec) for jid, rec in self.jobs.items()}
-        if override is not None:
-            jobs[override["job_id"]] = dict(override)
         ranking = rank({jid: rec["result"] for jid, rec in jobs.items()
                         if rec["result"] is not None})
         return {"version": MANIFEST_VERSION,
@@ -268,18 +257,6 @@ class Gateway:
                 "jobs": jobs,
                 "ranking": ranking,
                 "scheduler": self.scheduler.snapshot()}
-
-    def _write_manifest(self, override: dict | None = None) -> None:
-        """Durable atomic manifest write (see :func:`repro.serve.manifest
-        .atomic_write_json`); the caller holds the manifest lock.
-
-        Snapshot and write happen under that lock: without it, two shard
-        threads snapshot concurrently and the slower *writer* can publish
-        the older snapshot, dropping the other shard's just-completed job
-        from the on-disk ranking.
-        """
-        atomic_write_json(Path(self.config.manifest),
-                          self._manifest_doc(override))
 
     # ------------------------------------------------------------------
     # HTTP handlers
@@ -469,17 +446,14 @@ class Gateway:
             t.join(timeout)
         if self._loop_thread is not None:
             self._loop_thread.join(timeout)
-        if self._sharded is not None:
+        if self._manifest is not None:
             with self._manifest_lock:
                 doc = self._manifest_doc()
-                self._sharded.write_meta(
+                self._manifest.write_meta(
                     screen=doc["gateway"],
                     stats={"scheduler": doc["scheduler"]})
-                self._sharded.compact()
-                self._sharded.close()
-        elif self.config.manifest:
-            with self._manifest_lock:
-                self._write_manifest()
+                self._manifest.compact()
+                self._manifest.close()
         get_tracer().flush()
 
     def run(self) -> int:

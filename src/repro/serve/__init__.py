@@ -15,7 +15,7 @@ throughput argument is about (screening large ligand libraries):
   its executors drive :mod:`repro.serve.lifecycle`, the sans-IO job
   lifecycle (validation, retry-with-backoff, dead letters);
 * :mod:`repro.serve.screen` — the high-level :class:`VirtualScreen` API:
-  streamed :class:`JobResult` records, an atomic resumable manifest and
+  streamed :class:`JobResult` records, an append-only resumable manifest and
   a ranked hit list (also the ``screen`` CLI subcommand).
 """
 

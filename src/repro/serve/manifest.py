@@ -1,9 +1,8 @@
-"""Manifest persistence: durable single-file writes and sharded logs.
+"""Manifest persistence: the one durable result log.
 
-The single-file manifest (:class:`VirtualScreen` default) serialises
-*every* terminal job and rewrites the whole JSON after each completion —
-perfect for thousands of ligands, O(n²) I/O at 10^5–10^6.  This module
-adds the large-screen format: per-shard append-only NDJSON result logs,
+Every terminal job record of a screen or the gateway is appended to a
+:class:`ShardedManifest`, a directory of per-shard append-only NDJSON
+result logs,
 
 .. code-block:: text
 
@@ -19,6 +18,9 @@ on one file.  Appending is O(record); a crash tears at most the final
 line, which loaders skip.  Re-appended job ids (retries, resumed
 overwrites) are resolved last-record-wins at load time and squeezed out
 by periodic :meth:`ShardedManifest.compact`.
+
+Single-file JSON manifests (:data:`MANIFEST_VERSION`) from older
+versions are read-only; see :class:`ShardedManifest` for their upgrade.
 
 :func:`atomic_write_json` is the shared durable-write primitive (tmp in
 the same directory, ``fsync``, atomic ``os.replace``, directory fsync);
@@ -36,17 +38,19 @@ import time
 from pathlib import Path
 
 from repro.serve.queue import shard_for
+from repro.serve.store import fsync_dir
 
 __all__ = ["ShardedManifest", "atomic_write_json", "load_manifest_jobs",
            "rank", "MANIFEST_VERSION", "SHARD_AUTO_THRESHOLD",
            "DEFAULT_MANIFEST_SHARDS"]
 
-#: version of the single-file manifest document (screen and gateway)
+#: version of the read-only single-file manifest document
 MANIFEST_VERSION = 1
 
 SHARDED_MANIFEST_VERSION = 1
 
-#: library size at which ``manifest_shards=None`` switches to sharded logs
+#: library size at which ``manifest_shards=None`` switches from 1 shard
+#: to :data:`DEFAULT_MANIFEST_SHARDS`
 SHARD_AUTO_THRESHOLD = 10_000
 
 #: shard count used when the auto threshold trips
@@ -56,14 +60,14 @@ DEFAULT_MANIFEST_SHARDS = 8
 COMPACT_EVERY = 4096
 
 #: appends per shard between fsyncs (each append is flushed to the OS
-#: at once; a crash loses at most what the kernel had not yet written,
-#: and never more than the final, torn line)
+#: at once, so a killed process loses nothing; a power cut loses at most
+#: the records since the last fsync, which ``--resume`` re-docks)
 FSYNC_EVERY = 64
 
 _META_NAME = "meta.json"
 
 
-def atomic_write_json(path: str | Path, payload: dict,
+def atomic_write_json(path: str | Path, payload: dict | list,
                       indent: int | None = 2) -> None:
     """Durably replace ``path`` with ``payload`` as JSON.
 
@@ -82,17 +86,20 @@ def atomic_write_json(path: str | Path, payload: dict,
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    from repro.serve.store import fsync_dir
     fsync_dir(path.parent)
 
 
 class ShardedManifest:
-    """Append-friendly sharded result log for large screens.
+    """The append-only sharded result log of screens and the gateway.
 
     Parameters
     ----------
     path:
-        Manifest directory (created on demand).
+        Manifest directory (created on demand).  A single-file manifest
+        at ``path`` is upgraded: moved aside to ``<path>.v1`` with one
+        ``os.replace`` (never rewritten) and its records appended to a
+        new log at ``path``.  A kill mid-upgrade leaves a log holding a
+        prefix of those records, so a resume re-docks the rest.
     n_shards:
         Shard count for a *new* manifest; an existing directory's
         ``meta.json`` wins (the partition must stay stable across
@@ -101,18 +108,24 @@ class ShardedManifest:
 
     def __init__(self, path: str | Path, n_shards: int | None = None) -> None:
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         meta = self._read_meta()
-        if meta is not None:
-            self.n_shards = int(meta["n_shards"])
-        else:
-            if n_shards is None or n_shards <= 0:
-                raise ValueError(
-                    f"new sharded manifest {self.path} needs n_shards >= 1")
-            self.n_shards = int(n_shards)
-            self.write_meta()
+        if n_shards is None and meta is None or \
+                n_shards is not None and n_shards < 1:
+            raise ValueError(f"sharded manifest {self.path} needs "
+                             f"n_shards >= 1, got {n_shards}")
+        legacy = {}
+        if self.path.is_file():
+            legacy = load_manifest_jobs(self.path)
+            os.replace(self.path, self.path.with_name(self.path.name + ".v1"))
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.n_shards = int(meta["n_shards"] if meta else n_shards)
         self._handles: dict[int, object] = {}
         self._appends: dict[int, int] = {}
+        if meta is None:
+            self.write_meta()
+        for rec in legacy.values():
+            self.append(rec)
+        self.close()            # fsyncs carried-over records, if any
 
     # ------------------------------------------------------------------
 
@@ -136,28 +149,24 @@ class ShardedManifest:
 
     def write_meta(self, screen: dict | None = None,
                    stats: dict | None = None) -> None:
-        """Durably (re)write ``meta.json``; job records live in shards."""
-        payload = {"version": SHARDED_MANIFEST_VERSION,
-                   "n_shards": getattr(self, "n_shards", None),
-                   "written_at": time.time()}
-        prior = self._read_meta() or {}
-        payload["screen"] = screen if screen is not None \
-            else prior.get("screen")
-        payload["stats"] = stats if stats is not None else prior.get("stats")
-        if payload["n_shards"] is None:
-            payload["n_shards"] = prior.get("n_shards")
-        atomic_write_json(self.path / _META_NAME, payload)
+        """Durably (re)write ``meta.json``; job records live in shards,
+        which are fsynced first so the stats never outrun them."""
+        for fh in self._handles.values():
+            os.fsync(fh.fileno())
+        atomic_write_json(self.path / _META_NAME, {
+            "version": SHARDED_MANIFEST_VERSION, "n_shards": self.n_shards,
+            "written_at": time.time(), "screen": screen, "stats": stats})
 
     # ------------------------------------------------------------------
 
     def append(self, record: dict) -> int:
-        """Append one terminal JobResult record; returns its shard."""
+        """Append one terminal JobResult record, flushed to the OS;
+        returns its shard."""
         job_id = record["job_id"]
         shard = shard_for(job_id, self.n_shards)
         fh = self._handles.get(shard)
         if fh is None:
-            fh = open(self.shard_path(shard), "a")
-            self._handles[shard] = fh
+            fh = self._handles[shard] = self._open_shard(shard)
         fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         fh.flush()
         n = self._appends.get(shard, 0) + 1
@@ -167,6 +176,23 @@ class ShardedManifest:
         if n % COMPACT_EVERY == 0:
             self.compact(shard)
         return shard
+
+    def _open_shard(self, shard: int):
+        path = self.shard_path(shard)
+        size = path.stat().st_size if path.exists() else None
+        fh = open(path, "a")
+        if size is None:
+            # a file fsynced under a directory entry that was not can
+            # vanish in a power cut
+            fsync_dir(self.path)
+        elif size:
+            with open(path, "rb") as old:
+                old.seek(size - 1)
+                if old.read(1) != b"\n":
+                    # end a torn tail, else this record joins it on one
+                    # unreadable line
+                    fh.write("\n")
+        return fh
 
     def load(self) -> dict[str, dict]:
         """``job_id -> record`` across every shard, last record winning.
@@ -222,6 +248,7 @@ class ShardedManifest:
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(tmp, path)
+            fsync_dir(self.path)
 
     def close(self) -> None:
         for fh in self._handles.values():
@@ -241,7 +268,7 @@ class ShardedManifest:
 
 
 def load_manifest_jobs(path: str | Path) -> dict[str, dict]:
-    """``job_id -> record`` from either manifest format.
+    """``job_id -> record`` from a sharded log or a read-only single file.
 
     Dispatches on what is on disk: a directory with a ``meta.json`` loads
     shard logs; a plain file loads the single-file JSON format.

@@ -4,9 +4,10 @@ The high-level service API: build one content-addressed
 :class:`~repro.serve.queue.DockingJob` per ligand, order them through the
 priority :class:`~repro.serve.queue.JobQueue`, execute on a
 :class:`~repro.serve.pool.WorkerPool`, stream
-:class:`~repro.serve.pool.JobResult` records as they complete, and keep
-an atomically-updated manifest on disk so an interrupted screen resumes
-without re-docking anything already finished.
+:class:`~repro.serve.pool.JobResult` records as they complete, and
+append each to a durable result log
+(:class:`~repro.serve.manifest.ShardedManifest`) so an interrupted screen
+resumes without re-docking anything already finished.
 
 ::
 
@@ -16,7 +17,7 @@ without re-docking anything already finished.
                            ligands=["l1.pdbqt", "l2.pdbqt"],
                            config=DockingConfig(backend="tcec-tf32"),
                            n_runs=4, seed=2025)
-    report = screen.run(workers=4, manifest="screen.json", resume=True)
+    report = screen.run(workers=4, manifest="screen-manifest", resume=True)
     for hit in report.ranking[:10]:
         print(hit["label"], hit["best_score"])
 """
@@ -25,15 +26,15 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import DockingConfig
 from repro.obs import get_tracer
 from repro.serve.cache import DEFAULT_CAPACITY, file_sha256, maps_digest
-from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS, MANIFEST_VERSION,
+from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS,
                                   SHARD_AUTO_THRESHOLD, ShardedManifest,
-                                  atomic_write_json, load_manifest_jobs,
                                   rank)
 from repro.serve.pool import JobResult, WorkerPool
 from repro.serve.queue import (DockingJob, JobQueue, canonical_spec,
@@ -239,13 +240,13 @@ class VirtualScreen:
         before dispatch; results stay keyed — and bit-identical — per
         ligand, so manifests, resume and dedup are unaffected by packing.
 
-        ``manifest`` is rewritten atomically after *every* completed job
-        (the :class:`~repro.analysis.campaign.E50Campaign` tmp +
-        ``os.replace`` pattern), so a killed screen loses at most the
-        jobs in flight; ``resume=True`` reloads it and skips every job
-        whose id is already terminal — identical inputs do zero new
-        docking work.  Dead-letter records (``status="dead"``) are kept
-        terminal on resume; ``retry_dead=True`` (the ``--retry-dead``
+        ``manifest`` names a :class:`~repro.serve.manifest.ShardedManifest`
+        directory; each terminal result is appended to it before
+        ``stream`` sees it, so a killed screen loses at most the jobs in
+        flight; ``resume=True`` reloads it and skips every job whose id
+        is already terminal — identical inputs do zero new docking work.
+        Dead-letter records (``status="dead"``) are kept terminal on
+        resume; ``retry_dead=True`` (the ``--retry-dead``
         CLI flag) drops them from the loaded manifest so those jobs are
         re-admitted with a fresh retry budget.  ``stream(result)`` is
         called per terminal :class:`JobResult` as it arrives.  ``trace``
@@ -253,16 +254,12 @@ class VirtualScreen:
         spans/events to it (``repro stats <log>`` renders the summary
         afterwards).
 
-        ``manifest_shards`` selects the large-screen manifest format:
-        the manifest path becomes a *directory* of per-shard NDJSON
-        append logs (:class:`~repro.serve.manifest.ShardedManifest`) —
-        appending a result is O(record), not O(screen).  ``None`` picks
-        automatically (sharded above
+        ``manifest_shards`` is the shard count (``>= 1``) of a *new*
+        manifest; ``None`` gives 1 below
         :data:`~repro.serve.manifest.SHARD_AUTO_THRESHOLD` library
-        entries, single-file below); an existing manifest's format
-        always wins so resumes stay stable.  Resume and dead-letter
-        semantics are identical shard-wise, and
-        ``tools/merge_manifests.py`` merges/ranks shard directories.
+        entries and :data:`~repro.serve.manifest.DEFAULT_MANIFEST_SHARDS`
+        at or above it.  An existing manifest's ``meta.json`` always
+        wins so resumes stay stable.
 
         ``store`` names a shared disk cache tier root
         (:class:`~repro.serve.store.BlobStore`): workers front their
@@ -280,9 +277,14 @@ class VirtualScreen:
         else:
             tracer = get_tracer()
 
+        if manifest_shards is None:
+            manifest_shards = (1 if self._n_entries() < SHARD_AUTO_THRESHOLD
+                               else DEFAULT_MANIFEST_SHARDS)
+        sharded = (ShardedManifest(manifest, n_shards=manifest_shards)
+                   if manifest is not None else None)
         results: dict[str, JobResult] = {}
-        if resume and manifest is not None and Path(manifest).exists():
-            for job_id, rd in load_manifest_jobs(manifest).items():
+        if resume:
+            for rd in sharded.load().values():
                 prior = JobResult.from_dict(rd)
                 if prior.status in ("ok", "cached"):
                     prior.status = "cached"
@@ -292,12 +294,10 @@ class VirtualScreen:
                     # a job that already exhausted its budget unless the
                     # operator explicitly re-admits it
                     results[prior.job_id] = prior
-        sharded = (self._open_sharded(manifest, manifest_shards)
-                   if manifest is not None else None)
-
         span = tracer.span("screen.run", workers=workers, resume=resume)
         heartbeats: dict = {}
-        with span:
+        # the manifest closes (and fsyncs) even if a stream callback raises
+        with span, sharded if sharded is not None else nullcontext():
             with tracer.span("screen.build_queue"):
                 queue = JobQueue(maxsize=self.queue_size)
                 for job in self.jobs():
@@ -340,10 +340,6 @@ class VirtualScreen:
                                 self._stats(results, new_results, queue,
                                             t0, workers, heartbeats,
                                             pool_stats))
-                    elif manifest is not None:
-                        self._save_manifest(manifest, results, queue,
-                                            t0, workers, heartbeats,
-                                            pool_stats)
                     if stream is not None:
                         stream(result)
                 heartbeats = pool.heartbeats
@@ -362,10 +358,6 @@ class VirtualScreen:
         if sharded is not None:
             sharded.write_meta(self._screen_header(), report.stats)
             sharded.compact()
-            sharded.close()
-        elif manifest is not None:
-            self._save_manifest(manifest, results, queue, t0, workers,
-                                heartbeats, pool_stats)
         tracer.flush()
         return report
 
@@ -420,49 +412,3 @@ class VirtualScreen:
         return {"seed": self.seed, "n_runs": self.n_runs,
                 "config": self.config.to_dict(),
                 "written_at": time.time()}
-
-    def _open_sharded(self, manifest: str | Path,
-                      manifest_shards: int | None) -> ShardedManifest | None:
-        """Pick the manifest format; ``None`` means single-file JSON.
-
-        An existing manifest's on-disk format always wins (resume must
-        keep appending where the first run wrote); otherwise an explicit
-        ``manifest_shards`` decides, and ``None`` auto-shards at
-        :data:`SHARD_AUTO_THRESHOLD` library entries.
-        """
-        path = Path(manifest)
-        if ShardedManifest.is_sharded(path):
-            return ShardedManifest(path)
-        if path.is_file():
-            if manifest_shards:
-                raise ValueError(
-                    f"{path} is a single-file manifest; cannot resume it "
-                    f"with manifest_shards={manifest_shards}")
-            return None
-        if manifest_shards is None:
-            if self._n_entries() < SHARD_AUTO_THRESHOLD:
-                return None
-            manifest_shards = DEFAULT_MANIFEST_SHARDS
-        if manifest_shards <= 0:
-            return None
-        return ShardedManifest(path, n_shards=manifest_shards)
-
-    def _save_manifest(self, path: str | Path,
-                       results: dict[str, JobResult], queue: JobQueue,
-                       t0: float, workers: int,
-                       heartbeats: dict | None = None,
-                       pool_stats: dict | None = None) -> None:
-        """Durable atomic write: fsynced before the rename and tmp-named
-        per PID, so neither a power cut nor a concurrent screen on the
-        same path can leave a torn or empty manifest."""
-        jobs = {jid: r.to_dict() for jid, r in results.items()}
-        payload = {
-            "version": MANIFEST_VERSION,
-            "screen": self._screen_header(),
-            "jobs": jobs,
-            "ranking": rank(jobs),
-            "stats": self._stats(results, list(results.values()),
-                                 queue, t0, workers, heartbeats,
-                                 pool_stats),
-        }
-        atomic_write_json(path, payload)

@@ -13,7 +13,8 @@ import pytest
 from repro.cli import main
 from repro.gateway import (Gateway, GatewayConfig, GatewayClient,
                            GatewayRejected)
-from repro.serve import shard_for
+from repro.serve import load_manifest_jobs, shard_for
+from repro.serve.manifest import rank
 
 
 def _doc(case="1u4d", i=0, evals=200, n_runs=1, **extra):
@@ -74,17 +75,67 @@ class TestEndToEnd:
         assert min(r["best_score"] for r in runs) == \
             pytest.approx(status["best_score"])
 
-        # the manifest on disk is the ranked, atomic artifact
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        scores = [r["best_score"] for r in doc["ranking"]]
-        assert scores == sorted(scores)
-        assert len(doc["ranking"]) == 6
-        assert doc["scheduler"]["completed"] == 6
-
         stats = client.stats()
         assert stats["jobs"]["ok"] == 6
         assert stats["heartbeat_seconds"] > 0
         assert stats["scheduler"]["rejected"] == 1
+
+        # the manifest on disk ranks every job; stop writes its meta
+        gw.stop()
+        ranking = rank(load_manifest_jobs(tmp_path / "manifest.json"))
+        scores = [r["best_score"] for r in ranking]
+        assert scores == sorted(scores)
+        assert len(ranking) == 6
+        meta = json.loads(
+            (tmp_path / "manifest.json" / "meta.json").read_text())
+        assert meta["stats"]["scheduler"]["completed"] == 6
+
+    def test_merge_tool_ranks_gateway_manifest(self, gateway, tmp_path):
+        """The merge tool reads the gateway's log exactly as it reads a
+        screen's: same rows as ``/v1/manifest``, one per ok job."""
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+        from tools.merge_manifests import merge
+
+        gw, client = gateway
+        client.submit_batch([_doc(i=i) for i in range(4)])
+        results = list(client.stream())
+        assert [r["status"] for r in results] == ["ok"] * 4
+        live = client.manifest()["ranking"]
+        gw.stop()
+        merged = merge([tmp_path / "manifest.json"])["ranking"]
+        assert len(live) == 4
+        assert merged == live       # same ids, order, scores and rows
+
+    def test_pool_failure_dead_letters_are_logged(self, tmp_path,
+                                                  monkeypatch):
+        import repro.gateway.server as server_mod
+
+        class BrokenPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def map(self, jobs):
+                raise RuntimeError("pool down")
+
+        monkeypatch.setattr(server_mod, "WorkerPool", BrokenPool)
+        path = tmp_path / "manifest"
+        gw = Gateway(GatewayConfig(port=0, n_shards=2, workers=0,
+                                   poll_s=0.01, manifest=str(path))).start()
+        try:
+            client = GatewayClient(f"http://127.0.0.1:{gw.port}")
+            jid = client.submit(_doc(i=3))["accepted"][0]["job_id"]
+            [streamed] = list(client.stream())
+            assert streamed["status"] == "dead"
+            # write-ahead: streamed, so already in the log
+            [logged] = load_manifest_jobs(path).values()
+        finally:
+            gw.stop()
+        assert logged["job_id"] == jid
+        assert logged["status"] == "dead"
+        assert logged["error"]["error_type"] == "RuntimeError"
+        assert logged["tenant"] == streamed["tenant"]
 
     def test_single_rejection_is_429(self, gateway):
         _, client = gateway

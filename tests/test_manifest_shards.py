@@ -13,7 +13,8 @@ from repro.core import DockingConfig
 from repro.io import pack_rlig, write_maps, write_pdbqt
 from repro.search.lga import LGAConfig
 from repro.serve import ShardedManifest, VirtualScreen, shard_for
-from repro.serve.manifest import atomic_write_json, load_manifest_jobs
+from repro.serve.manifest import (DEFAULT_MANIFEST_SHARDS,
+                                  atomic_write_json, load_manifest_jobs)
 from repro.testcases import get_test_case
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -99,6 +100,36 @@ class TestShardedLog:
         with pytest.raises(ValueError, match="n_shards"):
             ShardedManifest(tmp_path / "new")
 
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        """A resume appending after a crash-torn tail must not glue its
+        first record onto the torn line, where no loader can read it."""
+        sm = ShardedManifest(tmp_path / "m", n_shards=1)
+        sm.append(_rec(1, -1.0))
+        sm.close()
+        with open(sm.shard_path(0), "a") as fh:
+            fh.write('{"job_id": "feed", "stat')     # crash mid-append
+        resumed = ShardedManifest(tmp_path / "m")
+        resumed.append(_rec(2, -2.0))
+        resumed.close()
+        assert sorted(resumed.load()) == sorted([_jid(1), _jid(2)])
+
+    def test_dir_fsynced_once_per_new_shard_file(self, tmp_path,
+                                                 monkeypatch):
+        import repro.serve.manifest as manifest_mod
+        sm = ShardedManifest(tmp_path / "m", n_shards=4)
+        synced = []
+        monkeypatch.setattr(manifest_mod, "fsync_dir", synced.append)
+        for i in range(32):
+            sm.append(_rec(i, float(i)))
+        sm.close()
+        created = [s for s in range(4) if sm.shard_path(s).is_file()]
+        assert synced == [sm.path] * len(created)
+        again = ShardedManifest(tmp_path / "m")
+        for i in range(32, 64):         # every shard file exists now
+            again.append(_rec(i, float(i)))
+        again.close()
+        assert len(synced) == len(created)
+
     def test_atomic_write_json_is_thread_safe(self, tmp_path):
         """Regression: a PID-only tmp suffix collided between the
         gateway's shard threads — one thread's ``os.replace`` consumed
@@ -142,8 +173,11 @@ class TestScreenSharded:
         fld, ligs = ligand_library
         single = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                n_runs=2, seed=3)
-        ref = single.run(workers=0, manifest=tmp_path / "single.json",
-                         manifest_shards=0)
+        ref = single.run(workers=0, manifest=tmp_path / "single",
+                         manifest_shards=1)
+        assert sorted(p.name for p in (tmp_path / "single").iterdir()) \
+            == ["meta.json", "shard-0000.ndjson"]
+        assert len(ref.ranking) == 4
 
         sharded = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                 n_runs=2, seed=3)
@@ -173,27 +207,50 @@ class TestScreenSharded:
         assert rep2.stats["jobs_completed"] == 0
         assert rep2.stats["jobs_cached"] == 4
 
-    def test_single_file_resume_rejects_shard_request(self, ligand_library,
-                                                      tmp_path):
+    def test_single_file_resume_upgrades_once(self, ligand_library,
+                                              tmp_path):
+        """A single-file manifest in the older format resumes with zero
+        new docking; its bytes are kept at ``<path>.v1``."""
         fld, ligs = ligand_library
+        first = VirtualScreen(fld=fld, ligands=ligs, config=TINY, n_runs=1,
+                              seed=5).run(workers=0,
+                                          manifest=tmp_path / "log")
+        jobs = load_manifest_jobs(tmp_path / "log")
         manifest = tmp_path / "m.json"
-        VirtualScreen(fld=fld, ligands=ligs, config=TINY, n_runs=1,
-                      seed=5).run(workers=0, manifest=manifest,
-                                  manifest_shards=0)
-        with pytest.raises(ValueError, match="single-file manifest"):
-            VirtualScreen(fld=fld, ligands=ligs, config=TINY, n_runs=1,
-                          seed=5).run(workers=0, manifest=manifest,
-                                      manifest_shards=4)
+        manifest.write_text(json.dumps(
+            {"version": 1, "screen": {"seed": 5, "n_runs": 1},
+             "jobs": jobs, "ranking": rank(jobs),
+             "stats": first.stats}, indent=2))
+        legacy = manifest.read_bytes()
+
+        for _ in range(2):              # the second resume finds the log
+            rep = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
+                                n_runs=1, seed=5).run(
+                workers=0, manifest=manifest, resume=True,
+                manifest_shards=4)
+            assert rep.stats["jobs_completed"] == 0
+            assert rep.stats["jobs_cached"] == 4
+            assert [r["job_id"] for r in rep.ranking] \
+                == [r["job_id"] for r in first.ranking]
+            assert (tmp_path / "m.json.v1").read_bytes() == legacy
+            assert ShardedManifest(manifest).n_shards == 4
+        assert load_manifest_jobs(manifest) == jobs
 
     def test_auto_threshold_switches_format(self, ligand_library,
                                             tmp_path, monkeypatch):
         import repro.serve.screen as screen_mod
-        monkeypatch.setattr(screen_mod, "SHARD_AUTO_THRESHOLD", 2)
         fld, ligs = ligand_library
         screen = VirtualScreen(fld=fld, ligands=ligs, config=TINY,
                                n_runs=1, seed=5)
+        screen.run(workers=0, manifest=tmp_path / "small")
+        assert ShardedManifest(tmp_path / "small").n_shards == 1
+        monkeypatch.setattr(screen_mod, "SHARD_AUTO_THRESHOLD", 4)
         screen.run(workers=0, manifest=tmp_path / "auto")
-        assert ShardedManifest.is_sharded(tmp_path / "auto")
+        assert ShardedManifest(tmp_path / "auto").n_shards \
+            == DEFAULT_MANIFEST_SHARDS
+        with pytest.raises(ValueError, match="n_shards"):
+            screen.run(workers=0, manifest=tmp_path / "zero",
+                       manifest_shards=0)
 
 
 class TestMergeTool:

@@ -1,19 +1,20 @@
 #!/usr/bin/env python
-"""Merge screen manifests — sharded NDJSON dirs and/or single JSON files.
+"""Merge and rank result logs written by screens and the gateway.
 
-A sharded :class:`~repro.serve.manifest.ShardedManifest` keeps one
-append-only NDJSON log per content-hash shard, which is the right shape
-for a million-ligand screen but the wrong shape for downstream analysis.
-This tool folds any mix of sharded manifest directories and single-file
-``manifest.json`` documents into one ranked, single-file manifest::
+A :class:`~repro.serve.manifest.ShardedManifest` keeps one append-only
+NDJSON log per content-hash shard, which is the right shape for a
+million-ligand screen but the wrong shape for downstream analysis.
+This tool folds any mix of manifest directories (and read-only
+single-file ``manifest.json`` documents from older versions) into one
+ranked, single-file manifest::
 
-    python tools/merge_manifests.py out/manifest out2/manifest.json \
+    python tools/merge_manifests.py out/manifest out2/manifest \
         --out merged.json --top 10
 
 Loading and ranking are the serving layer's own
 (:func:`repro.serve.manifest.load_manifest_jobs` and
-:func:`repro.serve.manifest.rank`), so a merged sharded screen ranks
-identically to the same screen written through the single-file path.
+:func:`repro.serve.manifest.rank`), so a merged manifest ranks
+identically to the screen or gateway that wrote it.
 Within a shard log the last record wins and a torn tail is skipped;
 across inputs, later command-line arguments supersede earlier ones.
 
@@ -61,11 +62,11 @@ def merge(paths: list[Path]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        description="Merge sharded and single-file screen manifests into "
-                    "one ranked manifest")
+        description="Merge screen and gateway manifests into one ranked "
+                    "manifest")
     ap.add_argument("manifests", nargs="+", type=Path,
-                    help="sharded manifest dirs and/or manifest.json "
-                         "files; later arguments win on job-id collision")
+                    help="manifest dirs and/or older manifest.json files; "
+                         "later arguments win on job-id collision")
     ap.add_argument("--out", type=Path, default=None,
                     help="write the merged single-file manifest here "
                          "(atomic rename)")
